@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -647,6 +649,23 @@ def criterion_11() -> CriterionResult:
     )
 
 
+@contextmanager
+def _package_first_on_pythonpath():
+    """Put this package's parent directory first on the inherited PYTHONPATH,
+    so `python -m cfobench...` children import this copy of the package."""
+    old = os.environ.get("PYTHONPATH")
+    root = str(Path(__file__).resolve().parent.parent)
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, old) if p)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = old
+
+
+@_package_first_on_pythonpath()
 def criterion_12() -> CriterionResult:
     from .external import (
         EvaluationTimeout,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -165,12 +165,6 @@ def collinear_array_spec(spacings) -> ArraySpec:
     )
 
 
-def linear_array_pattern(d: float, theta, phi=math.pi / 2, n_elements: int = 10):
-    """Ten-element uniform line magnitude; default cut is the phi = 90 plane,
-    where every element is in phase and the array factor is the plain sum."""
-    return array_pattern(linear_array_spec(d, n_elements))(theta, phi)
-
-
 def uniform_line_pattern(d: float, n_elements: int = 10) -> Callable:
     """Closed-form magnitude for the uniform in-phase line of z-dipoles.
 
@@ -197,16 +191,6 @@ def uniform_line_pattern(d: float, n_elements: int = 10) -> Callable:
         return float(out) if np.ndim(out) == 0 else out
 
     return pattern
-
-
-def circular_array_pattern(beta: float, theta, phi=0.0, n_elements: int = 8):
-    """Phase-steered ring magnitude, evaluated at phi = 0 by default."""
-    return array_pattern(circular_array_spec(beta, n_elements))(theta, phi)
-
-
-def collinear_array_pattern(spacings, theta, phi):
-    """Collinear array magnitude at (theta, phi)."""
-    return array_pattern(collinear_array_spec(spacings))(theta, phi)
 
 
 # ---------------------------------------------------------------------------

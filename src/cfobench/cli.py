@@ -60,14 +60,6 @@ EXIT_OBJECTIVE = 3
 EXIT_INTERNAL = 4
 
 SWEEP_PARAMETERS = ("gamma", "frep_init", "n_probes", "seed")
-EMIT_FLAGS = (
-    "fitness",
-    "davg",
-    "best_probe",
-    "probe_snapshots",
-    "trajectories",
-    "summary",
-)
 DEFAULT_EMIT = {
     "fitness": True,
     "davg": True,
@@ -76,6 +68,7 @@ DEFAULT_EMIT = {
     "trajectories": False,
     "summary": True,
 }
+EMIT_FLAGS = tuple(DEFAULT_EMIT)
 DEFAULT_N_STEPS = 500
 DEFAULT_PROBES_PER_DIM = 4
 DEFAULT_MIN_PROBES = 6
@@ -156,20 +149,13 @@ def _coerce_cfo_value(name: str, value):
         if not isinstance(value, str):
             raise ConfigError("cfo.init_scheme: must be a string")
         return value
-    if name in ("early_termination", "perturb_on_oscillation", "keep_history"):
+    if name in ("early_termination", "keep_history"):
         if value is not None and not isinstance(value, bool):
             raise ConfigError(f"cfo.{name}: must be a boolean")
         return value
-    if name == "shrink_interval":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("cfo.shrink_interval: must be an integer or null")
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"cfo.{name}: must be a number")
-    if name in ("n_probes", "n_steps", "n_saved", "n_sat", "n_avg_steps",
-                "mitigation_seed"):
+    if name in ("n_probes", "n_steps", "n_saved", "n_sat", "n_avg_steps"):
         if value != int(value):
             raise ConfigError(f"cfo.{name}: must be an integer")
         return int(value)
@@ -237,16 +223,26 @@ def _parse_outputs_block(raw):
     return out_dir, emit
 
 
-def _fresh_objective(objective_id: str, options: dict,
-                     noise_seed: Optional[int] = None) -> Objective:
+def _with_noise_seed(options: dict, noise_seed: Optional[int]) -> dict:
+    """A deep copy of the objective options, with noise.seed set when given
+    (a missing or non-object noise block becomes {"seed": noise_seed})."""
     options = copy.deepcopy(options)
     if noise_seed is not None:
         noise = options.get("noise")
-        if not isinstance(noise, dict):
-            noise = {}
-        noise["seed"] = int(noise_seed)
-        options["noise"] = noise
-    return get_objective(objective_id, **options)
+        options["noise"] = dict(noise if isinstance(noise, dict) else {}, seed=int(noise_seed))
+    return options
+
+
+def _fresh_objective(objective_id: str, options: dict,
+                     noise_seed: Optional[int] = None) -> Objective:
+    return get_objective(objective_id, **_with_noise_seed(options, noise_seed))
+
+
+def _close(objective) -> None:
+    """Release the objective's resources (an external child process), if any."""
+    closer = getattr(objective, "close", None)
+    if closer is not None:
+        closer()
 
 
 def load_config(path, out_override=None, seed_override=None) -> RunSpec:
@@ -272,12 +268,7 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
         raise ConfigError("objective: required")
 
     objective_id, options = _parse_objective_block(raw["objective"])
-    if seed_override is not None:
-        noise = options.get("noise")
-        if not isinstance(noise, dict):
-            noise = {}
-        noise["seed"] = int(seed_override)
-        options["noise"] = noise
+    options = _with_noise_seed(options, seed_override)
     objective = _fresh_objective(objective_id, options)
 
     bounds_pairs = _parse_bounds_block(raw.get("bounds"))
@@ -491,9 +482,7 @@ def run_benchmark(spec: RunSpec, quiet: bool = False) -> RunRecord:
     try:
         record = run(spec.cfo, spec.space, spec.objective)
     finally:
-        closer = getattr(spec.objective, "close", None)
-        if closer is not None:
-            closer()
+        _close(spec.objective)
     write_run_files(record, spec.out_dir, spec.emit, spec.space.n_dims)
     if spec.emit.get("summary"):
         rows = _summary_rows([record], [None], [spec.cfo], spec.space.n_dims)
@@ -511,13 +500,9 @@ def _sweep_values(sweep: dict) -> List:
 
 
 def _sweep_run_config(spec: RunSpec, parameter: str, value):
-    cfg = dataclasses.replace(spec.cfo)
-    if parameter == "gamma":
-        cfg.gamma = float(value)
-    elif parameter == "frep_init":
-        cfg.frep_init = float(value)
-    elif parameter == "n_probes":
-        cfg.n_probes = int(value)
+    # the seed sweeps the objective's noise stream, not a CfoConfig field
+    changes = {} if parameter == "seed" else {parameter: value}
+    cfg = dataclasses.replace(spec.cfo, **changes)
     cfg.validate(spec.space)
     return cfg
 
@@ -541,18 +526,12 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
 
     def one_run(index: int) -> RunRecord:
         value = values[index]
-        if parameter == "seed":
-            objective = _fresh_objective(
-                spec.objective_id, spec.objective_options, noise_seed=value
-            )
-        else:
-            objective = _fresh_objective(spec.objective_id, spec.objective_options)
+        objective = _fresh_objective(spec.objective_id, spec.objective_options,
+                                     noise_seed=value if parameter == "seed" else None)
         try:
             record = run(cfgs[index], spec.space, objective)
         finally:
-            closer = getattr(objective, "close", None)
-            if closer is not None:
-                closer()
+            _close(objective)
         run_dir = spec.out_dir / ("run_%0*d" % (pad, index + 1))
         per_run_emit = dict(spec.emit, summary=False)
         write_run_files(record, run_dir, per_run_emit, spec.space.n_dims)
@@ -590,10 +569,10 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
 
 def oracle_command(spec: RunSpec, resolution, quiet: bool = False):
     """Grid-maximize the configured objective and write oracle.json."""
-    result = grid_oracle(spec.objective, bounds=spec.space, resolution=resolution)
-    closer = getattr(spec.objective, "close", None)
-    if closer is not None:
-        closer()
+    try:
+        result = grid_oracle(spec.objective, bounds=spec.space, resolution=resolution)
+    finally:
+        _close(spec.objective)
     payload = {
         "objective": spec.objective_id,
         "argmax": [float(v) for v in result.argmax],

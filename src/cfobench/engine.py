@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .rng import NoiseState, SplitMix64, gaussian_deviate
 from .space import DecisionSpace
 
 # Distances below this fraction of the space diagonal count as coincident
@@ -80,10 +79,6 @@ class CfoConfig:
     fitness_sat_tol: float = 1e-5
     davg_sat_tol: float = 5e-4
     early_termination: bool = False
-    perturb_on_oscillation: bool = False
-    perturbation_sigma: float = 0.1
-    mitigation_seed: int = 0
-    shrink_interval: Optional[int] = None
     keep_history: Optional[bool] = None
 
     def validate(self, space: Optional[DecisionSpace] = None) -> None:
@@ -107,8 +102,6 @@ class CfoConfig:
             raise ConfigError("n_saved/n_sat: need n_saved >= n_sat >= 1")
         if self.n_avg_steps < 1:
             raise ConfigError("n_avg_steps: must be >= 1")
-        if self.shrink_interval is not None and self.shrink_interval < 1:
-            raise ConfigError("shrink_interval: must be >= 1 when set")
         scheme = _canon_scheme(self.init_scheme)
         if scheme == "custom" and self.initial_probes is None:
             raise ConfigError("initial_probes: required for the custom scheme")
@@ -157,10 +150,6 @@ class CfoConfig:
             "fitness_sat_tol": float(self.fitness_sat_tol),
             "davg_sat_tol": float(self.davg_sat_tol),
             "early_termination": bool(self.early_termination),
-            "perturb_on_oscillation": bool(self.perturb_on_oscillation),
-            "perturbation_sigma": float(self.perturbation_sigma),
-            "mitigation_seed": int(self.mitigation_seed),
-            "shrink_interval": None if self.shrink_interval is None else int(self.shrink_interval),
         }
         if self.initial_probes is not None:
             d["initial_probes"] = np.asarray(self.initial_probes, dtype=float).tolist()
@@ -183,7 +172,6 @@ class RunState:
     best_position: np.ndarray
     saved_best: np.ndarray
     frep_current: float
-    step: int
 
 
 @dataclass
@@ -373,22 +361,12 @@ def init_probes(scheme: str, space: DecisionSpace, cfg: CfoConfig) -> np.ndarray
 
     if scheme == "grid_2d":
         side = math.isqrt(n_p)
-        x1 = np.linspace(lo[0], hi[0], side)
-        x2 = np.linspace(lo[1], hi[1], side)
-        pts = np.empty((n_p, 2))
-        for k in range(side):        # x1 index, outer
-            for m in range(side):    # x2 index, inner
-                pts[side * k + m] = (x1[k], x2[m])
-        return pts
+        return uniform_lattice_points(space, (side, side))
 
     if scheme == "off_diagonal":
-        pts = np.empty((n_p, n_d))
-        denom = n_p * n_d - 1
-        for p in range(1, n_p + 1):
-            for i in range(1, n_d + 1):
-                frac = (n_d * (p - 1) + i - 1) / denom
-                pts[p - 1, i - 1] = lo[i - 1] + frac * (hi[i - 1] - lo[i - 1])
-        return pts
+        # coordinate i of probe p (both 0-based) at fraction (n_d*p + i)/(n_p*n_d - 1)
+        frac = np.arange(n_p * n_d).reshape(n_p, n_d) / (n_p * n_d - 1)
+        return lo + frac * (hi - lo)
 
     return np.array(cfg.initial_probes, dtype=float, copy=True)
 
@@ -415,11 +393,7 @@ def uniform_lattice_points(space: DecisionSpace, shape: tuple[int, int]) -> np.n
         raise ValueError("lattice needs at least 2 points per side")
     x1 = np.linspace(space.lower[0], space.upper[0], n1)
     x2 = np.linspace(space.lower[1], space.upper[1], n2)
-    pts = np.empty((n1 * n2, 2))
-    for m in range(n1):
-        for k in range(n2):
-            pts[m * n2 + k] = (x1[m], x2[k])
-    return pts
+    return np.column_stack((np.repeat(x1, n2), np.tile(x2, n1)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,25 +419,25 @@ def d_avg(positions: np.ndarray, reference, space: DecisionSpace) -> float:
     return float(dists.sum() / (space.diag_length * (n_p - 1)))
 
 
-def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
-    """Has the per-step best flattened over the last n_avg_steps window?
+def _window_flat(series: Sequence[float], j: int, n_avg: int, tol: float) -> bool:
+    """Does the mean of series[j-n_avg+1 .. j] sit within tol of series[j]?
 
-    Requires at least 10 steps beyond the averaging window before it may
-    fire; then fires when the window mean sits within fitness_sat_tol of the
-    step-j value.
+    Inactive until j is at least 10 steps beyond the averaging window.
     """
-    if j < cfg.n_avg_steps + 10 or j >= len(best_series):
+    if j < n_avg + 10 or j >= len(series):
         return False
-    window = np.asarray(best_series[j - cfg.n_avg_steps + 1: j + 1], dtype=float)
-    return bool(abs(window.mean() - float(best_series[j])) <= cfg.fitness_sat_tol)
+    window = np.asarray(series[j - n_avg + 1: j + 1], dtype=float)
+    return bool(abs(window.mean() - float(series[j])) <= tol)
+
+
+def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
+    """Has the per-step best flattened over the last n_avg_steps window?"""
+    return _window_flat(best_series, j, cfg.n_avg_steps, cfg.fitness_sat_tol)
 
 
 def detect_davg_saturation(davg_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
     """Same test as fitness saturation, on the probe-spread series."""
-    if j < cfg.n_avg_steps + 10 or j >= len(davg_series):
-        return False
-    window = np.asarray(davg_series[j - cfg.n_avg_steps + 1: j + 1], dtype=float)
-    return bool(abs(window.mean() - float(davg_series[j])) <= cfg.davg_sat_tol)
+    return _window_flat(davg_series, j, cfg.n_avg_steps, cfg.davg_sat_tol)
 
 
 def detect_oscillation(davg_series: Sequence[float], j: int) -> bool:
@@ -492,13 +466,24 @@ def best_fitness(fitness_history, up_to_step: int) -> tuple[float, int, int]:
     best_v = hist[0][0]
     best_p, best_s = 1, 0
     for step in range(0, up_to_step + 1):
-        row = hist[step]
-        for probe in range(row.shape[0]):
-            if row[probe] >= best_v:
-                best_v = row[probe]
-                best_p = probe + 1
-                best_s = step
+        best_v, taker = _absorb_row(hist[step], best_v)
+        if taker >= 0:
+            best_p, best_s = taker + 1, step
     return float(best_v), best_p, best_s
+
+
+def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
+    """Scan one step's fitnesses in probe order against the running best.
+
+    Every value >= the best so far takes over, so ties go to the later
+    probe. Returns the new best and the 0-based index of the last probe
+    that took over, or -1 when none did.
+    """
+    taker = -1
+    for p, v in enumerate(row):
+        if v >= best_v:
+            best_v, taker = v, p
+    return best_v, taker
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +542,6 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
     if keep_history is None:
         keep_history = cfg.n_steps <= HISTORY_STEP_LIMIT
 
-    work_space = space
-    mitigation_noise = None
-    if cfg.perturb_on_oscillation:
-        mitigation_noise = NoiseState(mu=0.0, sigma=cfg.perturbation_sigma,
-                                      rng=SplitMix64(cfg.mitigation_seed))
-
     positions = init_probes(cfg.init_scheme, space, cfg)
     accelerations = _coerce_initial_acceleration(cfg, n_p, n_d)
     fitness = evaluate_all(positions, 0)
@@ -578,20 +557,18 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
         best_position=positions[0].copy(),
         saved_best=np.empty(cfg.n_saved),
         frep_current=float(cfg.frep_init),
-        step=0,
     )
 
     def absorb_step_fitness(step: int) -> bool:
-        """Scan probes in order with >= updates; True when the best moved."""
-        improved = False
-        for p in range(n_p):
-            if state.fitness[p] >= state.best_fitness_so_far:
-                state.best_fitness_so_far = float(state.fitness[p])
-                state.best_probe = p + 1
-                state.best_step = step
-                state.best_position = state.positions[p].copy()
-                improved = True
-        return improved
+        """Fold this step's fitnesses into the best bookkeeping; True when it moved."""
+        best_v, taker = _absorb_row(state.fitness, state.best_fitness_so_far)
+        if taker < 0:
+            return False
+        state.best_fitness_so_far = float(best_v)
+        state.best_probe = taker + 1
+        state.best_step = step
+        state.best_position = state.positions[taker].copy()
+        return True
 
     absorb_step_fitness(0)
     state.saved_best.fill(state.best_fitness_so_far)
@@ -599,7 +576,7 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
     cum_best = [state.best_fitness_so_far]
     step_best = [float(fitness.max())]
     best_probe_series = [state.best_probe]
-    davg_series = [d_avg(positions, state.best_position, work_space)]
+    davg_series = [d_avg(positions, state.best_position, space)]
     frep_series = [state.frep_current]
     n_eval_series = [n_p]
     fit_hist = [fitness.copy()] if keep_history else None
@@ -609,12 +586,11 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
     last_step = 0
 
     for j in range(1, int(cfg.n_steps) + 1):
-        state.step = j
         raw = advance_positions(state.positions, state.accelerations, cfg.delta_t)
         state.positions_prev = state.positions
         state.positions = retrieve_errant_probes(raw, state.positions_prev,
-                                                 work_space, state.frep_current)
-        if not work_space.contains(state.positions):
+                                                 space, state.frep_current)
+        if not space.contains(state.positions):
             raise InvariantError(f"probe escaped containment at step {j}")
 
         state.fitness = evaluate_all(state.positions, j)
@@ -622,35 +598,18 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
             state.saved_best[saved_slot_index(j, cfg.n_saved) - 1] = state.best_fitness_so_far
         state.frep_current = update_frep(state, cfg)
         state.accelerations = compute_accelerations(state.positions, state.fitness,
-                                                    cfg, work_space)
+                                                    cfg, space)
 
         cum_best.append(state.best_fitness_so_far)
         step_best.append(float(state.fitness.max()))
         best_probe_series.append(state.best_probe)
-        davg_series.append(d_avg(state.positions, state.best_position, work_space))
+        davg_series.append(d_avg(state.positions, state.best_position, space))
         frep_series.append(state.frep_current)
         n_eval_series.append((j + 1) * n_p)
         if keep_history:
             fit_hist.append(state.fitness.copy())
             pos_hist.append(state.positions.copy())
         last_step = j
-
-        if mitigation_noise is not None and j < cfg.n_steps:
-            if detect_davg_saturation(davg_series, j, cfg) and detect_oscillation(davg_series, j):
-                row = state.best_probe - 1
-                jolt = np.array([gaussian_deviate(mitigation_noise) for _ in range(n_d)])
-                raw_row = 0.5 * state.positions[row] * (1.0 + jolt)
-                state.positions[row] = retrieve_errant_probes(
-                    raw_row[None, :], state.positions[row][None, :],
-                    work_space, state.frep_current,
-                )[0]
-
-        if cfg.shrink_interval is not None and j % cfg.shrink_interval == 0 and j < cfg.n_steps:
-            target = state.best_position
-            new_lo = work_space.lower + 0.5 * (target - work_space.lower)
-            new_hi = work_space.upper - 0.5 * (work_space.upper - target)
-            work_space = DecisionSpace(new_lo, new_hi)
-            state.positions = np.clip(state.positions, new_lo, new_hi)
 
         if cfg.early_termination and detect_fitness_saturation(step_best, j, cfg):
             reason = "FitnessSaturated"

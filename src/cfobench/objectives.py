@@ -10,7 +10,7 @@ form under <id>_shifted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,14 +261,6 @@ def _parrott_factory(offset=0.0, **extra):
                        "narrow decaying lobe train on the unit interval")
 
 
-def _neg_sum_squares_factory(n_dims=3, **extra):
-    if extra:
-        raise ObjectiveError(f"neg_sum_squares: unknown options {sorted(extra)}")
-    n = int(n_dims)
-    return _vectorized("neg_sum_squares", lambda X: -np.sum(X ** 2, axis=1),
-                       [(-5.0, 5.0)] * n, "smooth paraboloid, maximum 0 at the origin")
-
-
 REGISTRY: dict = {
     "parrott_f4": _parrott_factory,
     "sgo": _analytic_factory("sgo", _sgo_rows, [(-5.0, 5.0)] * 2,
@@ -306,7 +298,10 @@ REGISTRY: dict = {
                                           offsets=(75.123, 75.123)),
     "himmelblau": _analytic_factory("himmelblau", _himmelblau_rows, [(-6.0, 6.0)] * 2,
                                     "inverted Himmelblau, four maxima of 200"),
-    "neg_sum_squares": _neg_sum_squares_factory,
+    "neg_sum_squares": _analytic_factory("neg_sum_squares", lambda X: -np.sum(X ** 2, axis=1),
+                                         [(-5.0, 5.0)] * 3,
+                                         "smooth paraboloid, maximum 0 at the origin",
+                                         dims_option=True),
     "pbm1": _make_pbm1,
     "pbm2": _make_pbm2,
     "pbm3": _make_pbm3,
@@ -339,18 +334,6 @@ def get_objective(obj_id: str, **options) -> Objective:
             mu=float(noise_opt.get("mu", 0.0)),
         )
     return obj
-
-
-def evaluate(obj_id: str, x, **options) -> float:
-    """One-shot evaluation by id."""
-    return get_objective(obj_id, **options).evaluate(np.asarray(x, dtype=float))
-
-
-def pbm_objective(n: int, x, **options) -> float:
-    """Evaluate antenna benchmark n at x (n = 4 has no surrogate)."""
-    if n not in (1, 2, 3, 4, 5):
-        raise ObjectiveError(f"unknown benchmark number {n}")
-    return evaluate(f"pbm{n}", x, **options)
 
 
 def with_noise(obj: Objective, sigma: float, seed: int, mu: float = 0.0) -> Objective:

@@ -11,7 +11,6 @@ Reference vector (seed 1234567): 6457827717110365317, 3203168211198807973,
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,8 +121,3 @@ def gaussian_batch(state: NoiseState, n: int) -> np.ndarray:
         state.rng.state = start_state
         return np.array([gaussian_deviate(state) for _ in range(n)])
     return state.mu + state.sigma * np.sqrt(-2.0 * np.log(s)) * np.cos(2.0 * np.pi * t)
-
-
-def clock_seed() -> int:
-    """Wall-clock seed for runs that deliberately opt out of reproducibility."""
-    return time.time_ns() & _MASK

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from cfobench.cli import default_probe_count, load_config, main
+from cfobench.cli import default_probe_count, load_config, main, oracle_command
 from cfobench.engine import ConfigError
+from cfobench.external import ProtocolError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -252,6 +253,24 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", "--config", cfg, "--resolution", "lots"]) == 2
 
 
+def test_failed_oracle_reaps_the_external_child(tmp_path):
+    doc = {
+        "objective": {
+            "id": "external",
+            "options": {
+                "command": [sys.executable, "-m", "cfobench.external", "malformed"],
+                "bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+            },
+        },
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    spec = load_config(write_config(tmp_path, doc))
+    client = spec.objective.close.__self__
+    with pytest.raises(ProtocolError):
+        oracle_command(spec, 3, quiet=True)
+    assert client._proc.poll() is not None
+
+
 def test_objectives_listing(capsys):
     assert main(["objectives"]) == 0
     names = capsys.readouterr().out.split()
@@ -278,3 +297,16 @@ def test_cfo_block_rejects_unknown_and_mistyped_fields(tmp_path):
     bad_bool = dict(BASE_RUN, cfo=dict(BASE_RUN["cfo"], early_termination="yes"))
     with pytest.raises(ConfigError, match="boolean"):
         load_config(write_config(tmp_path, bad_bool, "b.json"))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("shrink_interval", 5),
+    ("perturb_on_oscillation", True),
+    ("perturbation_sigma", 0.1),
+    ("mitigation_seed", 3),
+])
+def test_removed_cfo_options_are_unknown_fields(tmp_path, capsys, key, value):
+    doc = dict(BASE_RUN, cfo=dict(BASE_RUN["cfo"], **{key: value}))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown field" in err and key in err

@@ -40,7 +40,6 @@ def make_state(saved, frep):
         best_position=pos[0].copy(),
         saved_best=np.asarray(saved, dtype=float),
         frep_current=frep,
-        step=0,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfobench import antenna, get_objective, list_objectives
-from cfobench.objectives import ObjectiveError, evaluate, pbm_objective
+from cfobench.objectives import ObjectiveError
 from cfobench.rng import NoiseState, gaussian_deviate
 
 # Peak locations and values confirmed by direct stationarity checks (the
@@ -177,16 +177,6 @@ def test_antenna_objectives_match_the_pattern_layer():
 def test_pbm4_requires_the_external_protocol():
     with pytest.raises(ObjectiveError, match="external"):
         get_objective("pbm4")
-    with pytest.raises(ObjectiveError, match="external"):
-        pbm_objective(4, [1.0, 1.0, 1.0])
-    with pytest.raises(ObjectiveError, match="unknown benchmark"):
-        pbm_objective(6, [1.0])
-
-
-def test_oneshot_helpers():
-    assert evaluate("gp", [0.0, -1.0]) == pytest.approx(-3.0, abs=1e-9)
-    assert pbm_objective(1, [0.5, math.pi / 2]) == pytest.approx(
-        1.640922377259262, abs=1e-12)
 
 
 def test_objective_close_defaults_to_none():

@@ -9,7 +9,6 @@ from cfobench.rng import (
     NoiseState,
     SplitMix64,
     box_muller,
-    clock_seed,
     gaussian_batch,
     gaussian_deviate,
 )
@@ -96,9 +95,3 @@ def test_seeded_streams_reproduce():
     z = gaussian_batch(NoiseState.seeded(8), 16)
     assert np.array_equal(x, y)
     assert not np.array_equal(x, z)
-
-
-def test_clock_seed_is_usable():
-    s = clock_seed()
-    assert 0 <= s < 2 ** 64
-    SplitMix64(s).next_float()
