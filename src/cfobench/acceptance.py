@@ -701,10 +701,12 @@ def criterion_12() -> CriterionResult:
     finally:
         client.close()
 
-    # the CLI must report both failure modes with the objective exit code
-    exit_codes = []
+    # the CLI must report both failure modes with the objective exit code and
+    # their own message, which a child that could not start would not give
+    exit_codes, messages_ok = [], True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, extra in (("sleepy", {"timeout": 1.0}), ("malformed", {})):
+        for name, extra, message in (("sleepy", {"timeout": 1.0}, "no reply within"),
+                                     ("malformed", {}, "unrecognized reply")):
             options = {
                 "command": server + [name],
                 "bounds": [[-1.0, 1.0], [-1.0, 1.0]],
@@ -728,7 +730,8 @@ def criterion_12() -> CriterionResult:
                 timeout=120,
             )
             exit_codes.append(proc.returncode)
-    cli_ok = exit_codes == [3, 3]
+            messages_ok = messages_ok and message in proc.stderr.decode()
+    cli_ok = exit_codes == [3, 3] and messages_ok
 
     passed = paired_ok and malformed_ok and timeout_ok and cli_ok
     return CriterionResult(
@@ -737,7 +740,8 @@ def criterion_12() -> CriterionResult:
         passed,
         (
             f"paired oracle max err {worst:.2g}; malformed raised: {malformed_ok}; "
-            f"timeout raised: {timeout_ok}; CLI exit codes {exit_codes}"
+            f"timeout raised: {timeout_ok}; CLI exit codes {exit_codes}, "
+            f"messages matched: {messages_ok}"
         ),
     )
 

@@ -508,7 +508,12 @@ def _sweep_run_config(spec: RunSpec, parameter: str, value):
 
 
 def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
-    """Run the configured sweep; returns (records, summary rows)."""
+    """Run the configured sweep; returns (records, summary rows).
+
+    Every run builds its own objective; the one load_config built is closed
+    first, which ends an external child.
+    """
+    _close(spec.objective)
     if spec.sweep is None:
         raise ConfigError("sweep: the config has no sweep block")
     parameter = spec.sweep["parameter"]

@@ -9,6 +9,7 @@ form under <id>_shifted.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -120,92 +121,54 @@ def _himmelblau_rows(X):
 
 
 # ---------------------------------------------------------------------------
-# antenna surrogate objectives
-
-PBM_DOMAINS = {
-    1: [(0.5, 3.0), (0.0, math.pi / 2)],
-    2: [(5.0, 15.0), (0.0, math.pi)],
-    3: [(0.0, 4.0), (0.0, math.pi)],
-}
+# antenna surrogate objectives: each id's geometry maps x to the pattern, its
+# power-cache key and the steering angles (theta0, phi0)
 
 
-def _make_pbm1(n_theta=antenna.DEFAULT_N_THETA, n_phi=antenna.DEFAULT_N_PHI) -> Objective:
-    def evaluate(x):
-        length, theta = float(x[0]), float(x[1])
-        pattern = lambda th, ph: antenna.dipole_pattern(length, th)
-        return antenna.directivity(
-            pattern, theta, 0.0, n_theta, n_phi, power_key=("pbm1", length)
-        )
-
-    return Objective(
-        id="pbm1",
-        n_dims=2,
-        bounds=DecisionSpace.from_bounds(PBM_DOMAINS[1]),
-        evaluate=evaluate,
-        description="variable-length dipole directivity over (length, theta)",
-    )
+def _pbm1_geometry(x):
+    length, theta = float(x[0]), float(x[1])
+    return (lambda th, ph: antenna.dipole_pattern(length, th)), ("pbm1", length), theta, 0.0
 
 
-def _make_pbm2(n_elements=10, n_theta=antenna.DEFAULT_N_THETA,
-               n_phi=antenna.DEFAULT_N_PHI) -> Objective:
-    def evaluate(x):
-        d, theta = float(x[0]), float(x[1])
-        pattern = antenna.uniform_line_pattern(d, n_elements)
-        return antenna.directivity(
-            pattern, theta, math.pi / 2, n_theta, n_phi,
-            power_key=("pbm2", n_elements, d),
-        )
-
-    return Objective(
-        id="pbm2",
-        n_dims=2,
-        bounds=DecisionSpace.from_bounds(PBM_DOMAINS[2]),
-        evaluate=evaluate,
-        description="uniform 10-element line directivity in the phi=90 plane",
-    )
+def _pbm2_geometry(x):
+    d, theta = float(x[0]), float(x[1])
+    return antenna.uniform_line_pattern(d, 10), ("pbm2", 10, d), theta, math.pi / 2
 
 
-def _make_pbm3(n_theta=antenna.DEFAULT_N_THETA, n_phi=antenna.DEFAULT_N_PHI) -> Objective:
-    def evaluate(x):
-        beta, theta = float(x[0]), float(x[1])
-        pattern = antenna.array_pattern(antenna.circular_array_spec(beta))
-        return antenna.directivity(
-            pattern, theta, 0.0, n_theta, n_phi, power_key=("pbm3", beta)
-        )
-
-    return Objective(
-        id="pbm3",
-        n_dims=2,
-        bounds=DecisionSpace.from_bounds(PBM_DOMAINS[3]),
-        evaluate=evaluate,
-        description="phase-steered 8-element ring directivity over (beta, theta)",
-    )
+def _pbm3_geometry(x):
+    beta, theta = float(x[0]), float(x[1])
+    return antenna.array_pattern(antenna.circular_array_spec(beta)), ("pbm3", beta), theta, 0.0
 
 
-def _make_pbm5(n_elements=10, n_theta=antenna.DEFAULT_N_THETA,
-               n_phi=antenna.DEFAULT_N_PHI) -> Objective:
-    if n_elements < 2:
-        raise ObjectiveError("pbm5: n_elements must be >= 2")
-    n_dims = n_elements - 1
-
-    def evaluate(x):
-        spacings = np.asarray(x, dtype=float)
-        pattern = antenna.array_pattern(antenna.collinear_array_spec(spacings))
-        key = ("pbm5",) + tuple(float(v) for v in spacings)
-        return antenna.directivity(
-            pattern, math.pi / 2, 0.0, n_theta, n_phi, power_key=key
-        )
-
-    return Objective(
-        id="pbm5",
-        n_dims=n_dims,
-        bounds=DecisionSpace.from_bounds([(0.5, 1.5)] * n_dims),
-        evaluate=evaluate,
-        description=f"collinear {n_elements}-element broadside directivity over spacings",
-    )
+def _pbm5_geometry(x):
+    spacings = np.asarray(x, dtype=float)
+    key = ("pbm5",) + tuple(float(v) for v in spacings)
+    return antenna.array_pattern(antenna.collinear_array_spec(spacings)), key, math.pi / 2, 0.0
 
 
-def _make_pbm4(**_options):
+def _antenna_factory(geometry, bounds, description):
+    def factory(obj_id):
+        def evaluate(x):
+            pattern, key, theta0, phi0 = geometry(x)
+            return antenna.directivity(pattern, theta0, phi0, power_key=key)
+
+        space = DecisionSpace.from_bounds(bounds)
+        return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
+                         evaluate=evaluate, description=description)
+
+    return factory
+
+
+def _make_pbm5(obj_id, n_elements=10) -> Objective:
+    if not isinstance(n_elements, (int, np.integer)) or n_elements < 2:
+        raise ObjectiveError("pbm5: n_elements must be an integer >= 2")
+    return _antenna_factory(
+        _pbm5_geometry, [(0.5, 1.5)] * (n_elements - 1),
+        f"collinear {n_elements}-element broadside directivity over spacings",
+    )(obj_id)
+
+
+def _make_pbm4(obj_id, /, **_options):
     raise ObjectiveError(
         "pbm4 has no analytic surrogate (the landscape is dominated by "
         "full-wave arm interaction); evaluate it through the external "
@@ -214,10 +177,11 @@ def _make_pbm4(**_options):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: every factory takes the objective id, then its options by name;
+# get_objective checks the option names against the factory's signature
 
 
-def _make_external(command=None, timeout=60.0, bounds=None, run_id="run0") -> Objective:
+def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective:
     from .external import ExternalObjective
 
     if command is None:
@@ -225,22 +189,14 @@ def _make_external(command=None, timeout=60.0, bounds=None, run_id="run0") -> Ob
     if bounds is None:
         raise ObjectiveError("external: bounds are required")
     space = DecisionSpace.from_bounds(bounds)
-    client = ExternalObjective(command, timeout=timeout, run_id=run_id)
-    return Objective(
-        id="external",
-        n_dims=space.n_dims,
-        bounds=space,
-        evaluate=lambda x: client.evaluate(x),
-        evaluate_with_context=client.evaluate,
-        close=client.close,
-        description=f"external process objective: {command!r}",
-    )
+    client = ExternalObjective(command, timeout=timeout)
+    return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
+                     evaluate=lambda x: client.evaluate(x), evaluate_with_context=client.evaluate,
+                     close=client.close, description=f"external process objective: {command!r}")
 
 
-def _analytic_factory(obj_id, rows_fn, bounds, description, offsets=None, dims_option=False):
-    def factory(n_dims=None, **extra):
-        if extra:
-            raise ObjectiveError(f"{obj_id}: unknown options {sorted(extra)}")
+def _analytic_factory(rows_fn, bounds, description, offsets=None, dims_option=False):
+    def factory(obj_id, n_dims=None):
         fn = rows_fn if offsets is None else _shift_rows(rows_fn, offsets)
         b = bounds
         if dims_option:
@@ -253,58 +209,48 @@ def _analytic_factory(obj_id, rows_fn, bounds, description, offsets=None, dims_o
     return factory
 
 
-def _parrott_factory(offset=0.0, **extra):
-    if extra:
-        raise ObjectiveError(f"parrott_f4: unknown options {sorted(extra)}")
-    rows = _parrott_f4_rows if offset == 0.0 else _shift_rows(_parrott_f4_rows, [offset])
-    return _vectorized("parrott_f4", rows, [(0.0, 1.0)],
-                       "narrow decaying lobe train on the unit interval")
-
-
 REGISTRY: dict = {
-    "parrott_f4": _parrott_factory,
-    "sgo": _analytic_factory("sgo", _sgo_rows, [(-5.0, 5.0)] * 2,
+    "parrott_f4": _analytic_factory(_parrott_f4_rows, [(0.0, 1.0)],
+                                    "narrow decaying lobe train on the unit interval"),
+    "sgo": _analytic_factory(_sgo_rows, [(-5.0, 5.0)] * 2,
                              "two-dimensional double-well quartic"),
-    "sgo_shifted": _analytic_factory("sgo_shifted", _sgo_rows, [(-50.0, 50.0)] * 2,
+    "sgo_shifted": _analytic_factory(_sgo_rows, [(-50.0, 50.0)] * 2,
                                      "quartic with the benchmark offsets",
                                      offsets=(40.0, 10.0)),
-    "gp": _analytic_factory("gp", _gp_rows, [(-2.0, 2.0)] * 2,
-                            "Goldstein-Price, negated"),
-    "gp_shifted": _analytic_factory("gp_shifted", _gp_rows, [(-100.0, 100.0)] * 2,
+    "gp": _analytic_factory(_gp_rows, [(-2.0, 2.0)] * 2, "Goldstein-Price, negated"),
+    "gp_shifted": _analytic_factory(_gp_rows, [(-100.0, 100.0)] * 2,
                                     "Goldstein-Price with the benchmark offsets",
                                     offsets=(20.0, -10.0)),
-    "step": _analytic_factory("step", _step_rows, [(-100.0, 100.0)] * 2,
+    "step": _analytic_factory(_step_rows, [(-100.0, 100.0)] * 2,
                               "negated step plateaus", dims_option=True),
-    "step_shifted": _analytic_factory("step_shifted", _step_rows,
-                                      [(-100.0, 100.0)] * 2,
+    "step_shifted": _analytic_factory(_step_rows, [(-100.0, 100.0)] * 2,
                                       "step plateaus with the benchmark offsets",
                                       offsets=(75.0, 35.0)),
-    "schwefel_226": _analytic_factory("schwefel_226", _schwefel_rows,
-                                      [(-500.0, 500.0)] * 30,
-                                      "Schwefel sine-sqrt landscape",
-                                      dims_option=True),
-    "colville": _analytic_factory("colville", _colville_rows, [(-10.0, 10.0)] * 4,
+    "schwefel_226": _analytic_factory(_schwefel_rows, [(-500.0, 500.0)] * 30,
+                                      "Schwefel sine-sqrt landscape", dims_option=True),
+    "colville": _analytic_factory(_colville_rows, [(-10.0, 10.0)] * 4,
                                   "Colville valley, negated"),
-    "colville_shifted": _analytic_factory("colville_shifted", _colville_rows,
-                                          [(-10.0, 10.0)] * 4,
+    "colville_shifted": _analytic_factory(_colville_rows, [(-10.0, 10.0)] * 4,
                                           "Colville with the benchmark offset",
                                           offsets=(7.123,) * 4),
-    "griewank": _analytic_factory("griewank", _griewank_rows, [(-600.0, 600.0)] * 2,
+    "griewank": _analytic_factory(_griewank_rows, [(-600.0, 600.0)] * 2,
                                   "Griewank bowl with cosine ripple, negated",
                                   dims_option=True),
-    "griewank_shifted": _analytic_factory("griewank_shifted", _griewank_rows,
-                                          [(-600.0, 600.0)] * 2,
+    "griewank_shifted": _analytic_factory(_griewank_rows, [(-600.0, 600.0)] * 2,
                                           "Griewank with the benchmark offset",
                                           offsets=(75.123, 75.123)),
-    "himmelblau": _analytic_factory("himmelblau", _himmelblau_rows, [(-6.0, 6.0)] * 2,
+    "himmelblau": _analytic_factory(_himmelblau_rows, [(-6.0, 6.0)] * 2,
                                     "inverted Himmelblau, four maxima of 200"),
-    "neg_sum_squares": _analytic_factory("neg_sum_squares", lambda X: -np.sum(X ** 2, axis=1),
+    "neg_sum_squares": _analytic_factory(lambda X: -np.sum(X ** 2, axis=1),
                                          [(-5.0, 5.0)] * 3,
                                          "smooth paraboloid, maximum 0 at the origin",
                                          dims_option=True),
-    "pbm1": _make_pbm1,
-    "pbm2": _make_pbm2,
-    "pbm3": _make_pbm3,
+    "pbm1": _antenna_factory(_pbm1_geometry, [(0.5, 3.0), (0.0, math.pi / 2)],
+                             "variable-length dipole directivity over (length, theta)"),
+    "pbm2": _antenna_factory(_pbm2_geometry, [(5.0, 15.0), (0.0, math.pi)],
+                             "uniform 10-element line directivity in the phi=90 plane"),
+    "pbm3": _antenna_factory(_pbm3_geometry, [(0.0, 4.0), (0.0, math.pi)],
+                             "phase-steered 8-element ring directivity over (beta, theta)"),
     "pbm4": _make_pbm4,
     "pbm5": _make_pbm5,
     "external": _make_external,
@@ -315,17 +261,27 @@ def list_objectives() -> list:
     return sorted(REGISTRY)
 
 
-def get_objective(obj_id: str, **options) -> Objective:
+def get_objective(obj_id: str, /, **options) -> Objective:
     """Build a registered objective; a noise option wraps it in Gaussian noise.
 
     noise = {"seed": int, "sigma": float (default 0.4472), "mu": float}.
+    An option the id's factory does not take is an ObjectiveError.
     """
     key = str(obj_id).strip().lower()
     factory = REGISTRY.get(key)
     if factory is None:
         raise ObjectiveError(f"unknown objective id {obj_id!r}")
     noise_opt = options.pop("noise", None)
-    obj = factory(**options)
+    params = list(inspect.signature(factory).parameters.values())[1:]  # after the id
+    unknown = sorted(set(options) - {p.name for p in params})
+    if unknown and not any(p.kind is p.VAR_KEYWORD for p in params):
+        raise ObjectiveError(f"{key}: unknown options {unknown}")
+    if noise_opt and key == "external":
+        raise ObjectiveError("external: noise is not supported; add it in the evaluator")
+    if noise_opt and not (isinstance(noise_opt, dict) and "seed" in noise_opt
+                          and set(noise_opt) <= {"seed", "sigma", "mu"}):
+        raise ObjectiveError(f"{key}: noise must be an object with a seed and optional sigma, mu")
+    obj = factory(key, **options)
     if noise_opt:
         obj = with_noise(
             obj,

@@ -77,33 +77,24 @@ def grid_oracle(objective, bounds=None, resolution=101) -> OracleResult:
     shape = tuple(len(ax) for ax in axes)
     total = int(np.prod(shape))
 
-    batch = getattr(objective, "evaluate_batch", None)
     eval_fn = getattr(objective, "evaluate", objective)
+    # scalar-only objectives go through the same chunks, one row at a time
+    batch = getattr(objective, "evaluate_batch", None) or (
+        lambda points: [eval_fn(p) for p in points])
 
     best_value = -np.inf
     best_point: Optional[np.ndarray] = None
-
-    if batch is not None:
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            multi = np.unravel_index(np.arange(start, stop), shape)
-            points = np.column_stack(
-                [axes[d][multi[d]] for d in range(len(axes))]
-            )
-            values = np.asarray(batch(points), dtype=float)
-            values = np.where(np.isfinite(values), values, -np.inf)
-            k = int(np.argmax(values))
-            # strict > keeps the earliest (lexicographically smallest) index
-            if values[k] > best_value:
-                best_value = float(values[k])
-                best_point = points[k].copy()
-    else:
-        for idx in np.ndindex(shape):
-            point = np.array([axes[d][idx[d]] for d in range(len(axes))])
-            value = float(eval_fn(point))
-            if np.isfinite(value) and value > best_value:
-                best_value = value
-                best_point = point
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        multi = np.unravel_index(np.arange(start, stop), shape)
+        points = np.column_stack([axes[d][multi[d]] for d in range(len(axes))])
+        values = np.asarray(batch(points), dtype=float)
+        values = np.where(np.isfinite(values), values, -np.inf)
+        k = int(np.argmax(values))
+        # strict > keeps the earliest (lexicographically smallest) index
+        if values[k] > best_value:
+            best_value = float(values[k])
+            best_point = points[k].copy()
 
     if best_point is None:
         raise ValueError("grid oracle: the objective returned no finite value")

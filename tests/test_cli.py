@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from cfobench.cli import default_probe_count, load_config, main, oracle_command
+from cfobench.cli import default_probe_count, load_config, main, oracle_command, sweep_runs
 from cfobench.engine import ConfigError
 from cfobench.external import ProtocolError
+from cfobench.objectives import list_objectives
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -22,6 +23,9 @@ BASE_RUN = {
     "objective": "gp",
     "cfo": {"n_probes": 6, "n_steps": 25, "gamma": 0.4},
 }
+
+QUADRATIC = {"command": [sys.executable, "-m", "cfobench.external", "quadratic"],
+             "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -163,7 +167,9 @@ def test_external_failure_exit_code(tmp_path, capsys):
     }
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg]) == 3
-    assert "objective error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message tells the bad handshake from a child that could not start
+    assert "objective error" in err and "unsupported protocol version" in err
 
 
 def test_sweep_summary(tmp_path, capsys):
@@ -271,6 +277,19 @@ def test_failed_oracle_reaps_the_external_child(tmp_path):
     assert client._proc.poll() is not None
 
 
+def test_sweep_closes_the_objective_load_config_built(tmp_path):
+    doc = {
+        "objective": {"id": "external", "options": QUADRATIC},
+        "cfo": {"n_probes": 4, "n_steps": 2},
+        "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 2},
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    spec = load_config(write_config(tmp_path, doc))
+    client = spec.objective.close.__self__
+    sweep_runs(spec, quiet=True)
+    assert client._proc.poll() is not None
+
+
 def test_objectives_listing(capsys):
     assert main(["objectives"]) == 0
     names = capsys.readouterr().out.split()
@@ -310,3 +329,31 @@ def test_removed_cfo_options_are_unknown_fields(tmp_path, capsys, key, value):
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "unknown field" in err and key in err
+
+
+@pytest.mark.parametrize("obj_id", list_objectives())
+def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
+    doc = dict(BASE_RUN, objective={"id": obj_id, "options": {"bogus": 1}})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    if obj_id == "pbm4":  # no options can build it, so its own reason comes first
+        assert "external objective protocol" in err
+    else:
+        assert f"{obj_id}: unknown options ['bogus']" in err
+
+
+@pytest.mark.parametrize("objective,argv,message", [
+    ({"id": "gp", "options": {"obj_id": 1}}, [], "gp: unknown options ['obj_id']"),
+    ({"id": "pbm5", "options": {"n_elements": "6"}}, [], "n_elements must be an integer >= 2"),
+    ({"id": "pbm5", "options": {"n_elements": 1}}, [], "n_elements must be an integer >= 2"),
+    ({"id": "gp", "options": {"noise": {"sigma": 0.1}}}, [], "noise must be an object with a seed"),
+    ({"id": "gp", "options": {"noise": {"seed": 1, "sgima": 0.1}}}, [], "noise must be"),
+    ({"id": "gp", "options": {"noise": 5}}, [], "noise must be"),
+    ({"id": "external", "options": dict(QUADRATIC, noise={"seed": 1})}, [],
+     "external: noise is not supported"),
+    ({"id": "external", "options": QUADRATIC}, ["--seed", "4"], "external: noise is not supported"),
+])
+def test_bad_objective_options_exit_2(tmp_path, capsys, objective, argv, message):
+    doc = dict(BASE_RUN, objective=objective)
+    assert main(["run", "--config", write_config(tmp_path, doc)] + argv) == 2
+    assert message in capsys.readouterr().err

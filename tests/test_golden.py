@@ -1,0 +1,58 @@
+"""Golden SHA-256 digests of record.json for four short runs.
+
+Byte-identical records are guaranteed per platform and numpy build (see the
+README), so the digests are pinned to the build they were taken on and the
+test skips on any other. A digest that changes on that build means a run's
+canonical bytes moved; update it only for a change that means to move them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import sys
+
+import numpy as np
+import pytest
+
+from cfobench.cli import main
+
+BUILD = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
+
+EXTERNAL = {"id": "external", "options": {
+    "command": [sys.executable, "-m", "cfobench.external", "quadratic"],
+    "bounds": [[-3.0, 3.0]] * 3}}
+
+RUNS = {  # name: (objective block, cfo block, record.json SHA-256)
+    "gp": ("gp", {"n_probes": 8, "n_steps": 100, "gamma": 0.4},
+           "4b99f81a0351887b145dfb4a95f7a7b851924e77aa956c1a1049ef1b6ac7733d"),
+    "gp_noisy": ({"id": "gp", "options": {"noise": {"seed": 7}}},
+                 {"n_probes": 8, "n_steps": 100},
+                 "ba7e3ba9f617bfd5be26364f9ec34abebd0f32386a13dc8e6adaf5cb08c6ad5b"),
+    "external_quadratic": (EXTERNAL, {"n_probes": 6, "n_steps": 20},
+                           "57a3eb9eb630a24a2c44e1e027ceb18d409581e540987ac6a2a011f99161a968"),
+    "pbm1": ("pbm1", {"n_probes": 4, "n_steps": 4},
+             "32441c970e27d59f4304b4c077c4deef50fcdd6ac7a1cb309bef678046285b11"),
+}
+
+
+def _this_build() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine()}
+
+
+def record_digest(tmp_path, objective, cfo) -> str:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"objective": objective, "cfo": cfo,
+                                  "outputs": {"dir": str(tmp_path / "out")}}))
+    assert main(["run", "--config", str(config), "--quiet"]) == 0
+    return hashlib.sha256((tmp_path / "out" / "record.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_record_digest(tmp_path, name):
+    if _this_build() != BUILD:
+        pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
+    objective, cfo, digest = RUNS[name]
+    assert record_digest(tmp_path, objective, cfo) == digest

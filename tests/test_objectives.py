@@ -174,6 +174,17 @@ def test_antenna_objectives_match_the_pattern_layer():
     assert 5.0 < val < 20.0
 
 
+@pytest.mark.parametrize("obj_id,option", [
+    *[(f"pbm{n}", name) for n in (1, 2, 3, 5) for name in ("n_theta", "n_phi")],
+    ("pbm2", "n_elements"),
+    ("parrott_f4", "offset"),
+    ("external", "run_id"),
+])
+def test_removed_objective_options_are_unknown(obj_id, option):
+    with pytest.raises(ObjectiveError, match=f"{obj_id}: unknown options \\['{option}'\\]"):
+        get_objective(obj_id, **{option: 1})
+
+
 def test_pbm4_requires_the_external_protocol():
     with pytest.raises(ObjectiveError, match="external"):
         get_objective("pbm4")

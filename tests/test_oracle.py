@@ -80,6 +80,18 @@ def test_batch_and_scalar_paths_agree():
     assert with_batch.value == scalar.value
 
 
+def test_scalar_objectives_are_evaluated_in_grid_order():
+    # a stateful (noisy) objective's stream depends on the call order
+    calls = []
+
+    def record(x):
+        calls.append(tuple(x))
+        return 0.0
+
+    grid_oracle(record, bounds=[(0.0, 1.0), (0.0, 2.0)], resolution=(2, 3))
+    assert calls == [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0)]
+
+
 def test_refine_respects_bounds_and_validates():
     obj = get_objective("parrott_f4")
     res = refine(obj, [0.99], half_widths=0.05, levels=3)
