@@ -3,8 +3,9 @@
 Twelve numbered criteria cover the engine, the antenna surrogates, the
 harness, and the external protocol. Each criterion function returns a
 CriterionResult; run_all executes them in order and prints one PASS/FAIL
-line apiece. `cfo-bench verify` and tests/test_acceptance.py both drive
-this module, so the checks live here once.
+line apiece, ending in the criterion's wall time. `cfo-bench verify` and
+tests/test_acceptance.py both drive this module, so the checks live here
+once.
 
 Benchmark reference values (target optima, directivity levels, step
 budgets) are frozen in constants near the top; the oracle side of every
@@ -763,9 +764,11 @@ CRITERIA: Tuple[Tuple[int, str, Callable[[], CriterionResult]], ...] = (
 
 
 def run_all(quiet: bool = False) -> List[CriterionResult]:
-    """Run every criterion in order; print one line per criterion."""
+    """Run every criterion in order; print one line per criterion with its
+    wall time (a criterion that builds a cached run pays for it)."""
     results = []
     for number, name, fn in CRITERIA:
+        t0 = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:  # a crashed check is a failed check
@@ -774,7 +777,7 @@ def run_all(quiet: bool = False) -> List[CriterionResult]:
             )
         results.append(result)
         if not quiet:
-            print(result.line(), flush=True)
+            print(f"{result.line()} ({time.perf_counter() - t0:.2f} s)", flush=True)
     n_pass = sum(r.passed for r in results)
     print(f"acceptance: {n_pass}/{len(results)} criteria passed", flush=True)
     return results

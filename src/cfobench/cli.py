@@ -270,31 +270,34 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
     objective_id, options = _parse_objective_block(raw["objective"])
     options = _with_noise_seed(options, seed_override)
     objective = _fresh_objective(objective_id, options)
-
-    bounds_pairs = _parse_bounds_block(raw.get("bounds"))
-    space = (
-        DecisionSpace.from_bounds(bounds_pairs)
-        if bounds_pairs is not None
-        else objective.bounds
-    )
-    if space.n_dims != objective.n_dims:
-        raise ConfigError(
-            f"bounds: {space.n_dims} dimensions for a "
-            f"{objective.n_dims}-dimensional objective"
+    try:
+        bounds_pairs = _parse_bounds_block(raw.get("bounds"))
+        space = (
+            DecisionSpace.from_bounds(bounds_pairs)
+            if bounds_pairs is not None
+            else objective.bounds
         )
-
-    cfg = _parse_cfo_block(raw.get("cfo", {}), space.n_dims)
-    sweep = _parse_sweep_block(raw.get("sweep"))
-    conf_dir, emit = _parse_outputs_block(raw.get("outputs"))
-
-    if emit["trajectories"] or emit["probe_snapshots"]:
-        if cfg.keep_history is False:
+        if space.n_dims != objective.n_dims:
             raise ConfigError(
-                "outputs: trajectories/probe_snapshots require cfo.keep_history"
+                f"bounds: {space.n_dims} dimensions for a "
+                f"{objective.n_dims}-dimensional objective"
             )
-        cfg.keep_history = True
 
-    cfg.validate(space)
+        cfg = _parse_cfo_block(raw.get("cfo", {}), space.n_dims)
+        sweep = _parse_sweep_block(raw.get("sweep"))
+        conf_dir, emit = _parse_outputs_block(raw.get("outputs"))
+
+        if emit["trajectories"] or emit["probe_snapshots"]:
+            if cfg.keep_history is False:
+                raise ConfigError(
+                    "outputs: trajectories/probe_snapshots require cfo.keep_history"
+                )
+            cfg.keep_history = True
+
+        cfg.validate(space)
+    except BaseException:
+        _close(objective)  # an external child must not outlive the config error
+        raise
 
     out_dir = out_override or os.environ.get("CFO_OUT_DIR") or conf_dir or "cfo_out"
     return RunSpec(

@@ -9,6 +9,7 @@ form under <id>_shifted.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -122,41 +123,60 @@ def _himmelblau_rows(X):
 
 # ---------------------------------------------------------------------------
 # antenna surrogate objectives: each id's geometry maps x to the pattern, its
-# power-cache key and the steering angles (theta0, phi0)
+# power-cache key, the steering angles (theta0, phi0) and the exact cheaper
+# form of the power sum radiated_power should use (None sums every node)
 
 
 def _pbm1_geometry(x):
     length, theta = float(x[0]), float(x[1])
-    return (lambda th, ph: antenna.dipole_pattern(length, th)), ("pbm1", length), theta, 0.0
+    return (lambda th, ph: antenna.dipole_pattern(length, th)), ("pbm1", length), theta, 0.0, None
 
 
 def _pbm2_geometry(x):
+    # |F| depends on cos(theta) and sin(theta) cos(phi) only, through even functions
     d, theta = float(x[0]), float(x[1])
-    return antenna.uniform_line_pattern(d, 10), ("pbm2", 10, d), theta, math.pi / 2
+    pattern = antenna.uniform_line_pattern(d, 10)
+    return (pattern, ("pbm2", 10, d), theta, math.pi / 2,
+            functools.partial(antenna.octant_power, pattern))
 
 
-def _pbm3_geometry(x):
+def _pbm3_geometry(ring, x):
     beta, theta = float(x[0]), float(x[1])
-    return antenna.array_pattern(antenna.circular_array_spec(beta)), ("pbm3", beta), theta, 0.0
+    spec = antenna.circular_array_spec(beta)
+    return (antenna.array_pattern(spec), ("pbm3", beta), theta, 0.0,
+            functools.partial(ring.power, spec.excitations))
 
 
 def _pbm5_geometry(x):
+    # in-phase y-dipoles on the y axis: |F| depends on sin(theta) sin(phi) only,
+    # and is even in it because the excitations are real
     spacings = np.asarray(x, dtype=float)
     key = ("pbm5",) + tuple(float(v) for v in spacings)
-    return antenna.array_pattern(antenna.collinear_array_spec(spacings)), key, math.pi / 2, 0.0
+    pattern = antenna.array_pattern(antenna.collinear_array_spec(spacings))
+    return pattern, key, math.pi / 2, 0.0, functools.partial(antenna.octant_power, pattern)
 
 
 def _antenna_factory(geometry, bounds, description):
     def factory(obj_id):
         def evaluate(x):
-            pattern, key, theta0, phi0 = geometry(x)
-            return antenna.directivity(pattern, theta0, phi0, power_key=key)
+            pattern, key, theta0, phi0, mesh_sum = geometry(x)
+            return antenna.directivity(pattern, theta0, phi0, power_key=key, mesh_sum=mesh_sum)
 
         space = DecisionSpace.from_bounds(bounds)
         return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
                          evaluate=evaluate, description=description)
 
     return factory
+
+
+def _make_pbm3(obj_id) -> Objective:
+    # the ring's positions do not depend on beta, so one coupling matrix serves
+    # every evaluation; it is built on the first one, not here
+    ring = antenna.CouplingMatrix(antenna.circular_array_spec(0.0))
+    return _antenna_factory(
+        functools.partial(_pbm3_geometry, ring), [(0.0, 4.0), (0.0, math.pi)],
+        "phase-steered 8-element ring directivity over (beta, theta)",
+    )(obj_id)
 
 
 def _make_pbm5(obj_id, n_elements=10) -> Objective:
@@ -199,10 +219,12 @@ def _analytic_factory(rows_fn, bounds, description, offsets=None, dims_option=Fa
     def factory(obj_id, n_dims=None):
         fn = rows_fn if offsets is None else _shift_rows(rows_fn, offsets)
         b = bounds
+        if n_dims is not None and (isinstance(n_dims, bool)
+                                   or not isinstance(n_dims, (int, np.integer)) or n_dims < 1):
+            raise ObjectiveError(f"{obj_id}: n_dims must be an integer >= 1")
         if dims_option:
-            n = int(n_dims) if n_dims is not None else len(bounds)
-            b = [bounds[0]] * n
-        elif n_dims is not None and int(n_dims) != len(bounds):
+            b = [bounds[0]] * (len(bounds) if n_dims is None else int(n_dims))
+        elif n_dims is not None and n_dims != len(bounds):
             raise ObjectiveError(f"{obj_id}: dimensionality is fixed at {len(bounds)}")
         return _vectorized(obj_id, fn, b, description)
 
@@ -249,8 +271,7 @@ REGISTRY: dict = {
                              "variable-length dipole directivity over (length, theta)"),
     "pbm2": _antenna_factory(_pbm2_geometry, [(5.0, 15.0), (0.0, math.pi)],
                              "uniform 10-element line directivity in the phi=90 plane"),
-    "pbm3": _antenna_factory(_pbm3_geometry, [(0.0, 4.0), (0.0, math.pi)],
-                             "phase-steered 8-element ring directivity over (beta, theta)"),
+    "pbm3": _make_pbm3,
     "pbm4": _make_pbm4,
     "pbm5": _make_pbm5,
     "external": _make_external,

@@ -9,9 +9,12 @@ surrogates in this repository they are known not to reach those targets
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from cfobench.acceptance import CRITERIA
+from cfobench import acceptance
+from cfobench.acceptance import CRITERIA, CriterionResult
 
 
 @pytest.mark.parametrize(
@@ -23,3 +26,11 @@ def test_criterion(number, name, check):
     result = check()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_verify_lines_carry_the_wall_time(monkeypatch, capsys):
+    stub = (1, "stub", lambda: CriterionResult(1, "stub", True, "measured 0.5"))
+    monkeypatch.setattr(acceptance, "CRITERIA", (stub,))
+    acceptance.run_all()
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"PASS criterion  1 \(stub\): measured 0\.5 \(\d+\.\d\d s\)", first)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cfobench import antenna
+from cfobench import antenna, get_objective
 from cfobench.antenna import (
     DegeneratePatternError,
     array_pattern,
@@ -182,3 +182,53 @@ def test_power_cache_hit_is_bitwise():
 def test_degenerate_pattern_raises():
     with pytest.raises(DegeneratePatternError):
         directivity(lambda th, ph: np.zeros(np.broadcast(th, ph).shape), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n_theta,n_phi,n_points", [(256, 512, 3), (512, 1024, 2)])
+def test_same_node_power_forms_match_the_full_mesh_sum(n_theta, n_phi, n_points):
+    # the octant fold (pbm2, pbm5) and the ring coupling matrix (pbm3) sum the
+    # same midpoint nodes as the plain sum; only rounding may differ
+    rng = np.random.default_rng(20261018)
+    ring = antenna.CouplingMatrix(circular_array_spec(0.0))
+    cases = []
+    for _ in range(n_points):
+        line = uniform_line_pattern(rng.uniform(5.0, 15.0), 10)
+        cases.append((line, antenna.octant_power(line, n_theta, n_phi)))
+        spec = circular_array_spec(rng.uniform(0.0, 4.0))
+        cases.append((array_pattern(spec), ring.power(spec.excitations, n_theta, n_phi)))
+        for n_elements in (6, 10):
+            stack = array_pattern(collinear_array_spec(rng.uniform(0.5, 1.5, n_elements - 1)))
+            cases.append((stack, antenna.octant_power(stack, n_theta, n_phi)))
+    for pattern, power in cases:
+        assert power == pytest.approx(radiated_power(pattern, n_theta, n_phi), rel=1e-11)
+
+
+@pytest.mark.parametrize("obj_id,options", [("pbm2", {}), ("pbm3", {}), ("pbm5", {"n_elements": 6}),
+                                            ("pbm5", {})])
+def test_antenna_objectives_match_the_full_mesh_directivity(obj_id, options):
+    obj = get_objective(obj_id, **options)
+    rng = np.random.default_rng(7)
+    lo, hi = obj.bounds.lower, obj.bounds.upper
+    for _ in range(3):
+        x = lo + rng.random(obj.n_dims) * (hi - lo)
+        if obj_id == "pbm2":
+            bare, angles = uniform_line_pattern(x[0], 10), (x[1], math.pi / 2)
+        elif obj_id == "pbm3":
+            bare, angles = array_pattern(circular_array_spec(x[0])), (x[1], 0.0)
+        else:
+            bare, angles = array_pattern(collinear_array_spec(x)), (math.pi / 2, 0.0)
+        assert obj.evaluate(x) == pytest.approx(directivity(bare, *angles), rel=1e-11)
+
+
+def test_same_node_forms_reject_meshes_they_cannot_fold():
+    line = uniform_line_pattern(6.0)
+    for n_theta, n_phi in ((255, 512), (256, 510)):
+        with pytest.raises(ValueError, match="octant fold"):
+            antenna.octant_power(line, n_theta, n_phi)
+    ring = antenna.CouplingMatrix(circular_array_spec(0.0))
+    with pytest.raises(ValueError, match="even n_theta"):
+        ring.power(circular_array_spec(0.5).excitations, 255, 512)
+    lifted = antenna.ArraySpec(2, ((0.0, 0.0, 0.5), (1.0, 0.0, 0.5)), (0.0, 0.0, 1.0),
+                               (1.0 + 0j, 1.0 + 0j))
+    with pytest.raises(ValueError, match="z=0 plane"):
+        antenna.CouplingMatrix(lifted)

@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
+from cfobench import cli
 from cfobench.cli import default_probe_count, load_config, main, oracle_command, sweep_runs
 from cfobench.engine import ConfigError
 from cfobench.external import ProtocolError
-from cfobench.objectives import list_objectives
+from cfobench.objectives import get_objective, list_objectives
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -290,6 +291,21 @@ def test_sweep_closes_the_objective_load_config_built(tmp_path):
     assert client._proc.poll() is not None
 
 
+def test_config_error_closes_the_external_child(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def recording_get_objective(*args, **kwargs):
+        built.append(get_objective(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "get_objective", recording_get_objective)
+    doc = {"objective": {"id": "external", "options": QUADRATIC}, "cfo": {"n_steps": "x"}}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert "n_steps" in capsys.readouterr().err
+    client = built[0].close.__self__
+    assert client._proc.poll() is not None
+
+
 def test_objectives_listing(capsys):
     assert main(["objectives"]) == 0
     names = capsys.readouterr().out.split()
@@ -352,6 +368,10 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
     ({"id": "external", "options": dict(QUADRATIC, noise={"seed": 1})}, [],
      "external: noise is not supported"),
     ({"id": "external", "options": QUADRATIC}, ["--seed", "4"], "external: noise is not supported"),
+    ({"id": "step", "options": {"n_dims": 0}}, [], "step: n_dims must be an integer >= 1"),
+    ({"id": "step", "options": {"n_dims": -1}}, [], "step: n_dims must be an integer >= 1"),
+    ({"id": "step", "options": {"n_dims": 2.5}}, [], "step: n_dims must be an integer >= 1"),
+    ({"id": "step", "options": {"n_dims": "3"}}, [], "step: n_dims must be an integer >= 1"),
 ])
 def test_bad_objective_options_exit_2(tmp_path, capsys, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)
