@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .objectives import batch_form
 from .space import DecisionSpace
 
 # Distances below this fraction of the space diagonal count as coincident
@@ -235,27 +236,6 @@ class RunRecord:
 
 # ---------------------------------------------------------------------------
 # elementary operations
-
-
-def unit_step(z: float) -> int:
-    """1 for z >= 0, else 0."""
-    if not np.isfinite(z):
-        raise EngineError("non-finite fitness difference")
-    return 1 if z >= 0.0 else 0
-
-
-def cfo_mass(m_k: float, m_p: float, alpha: float) -> float:
-    """Nonnegative pair coupling: (m_k - m_p)^alpha when the gap is >= 0.
-
-    The gate keeps the interaction attractive toward better probes only; a
-    zero gap contributes zero because alpha > 0.
-    """
-    if not (np.isfinite(m_k) and np.isfinite(m_p)):
-        raise EngineError("non-finite fitness in mass coefficient")
-    diff = m_k - m_p
-    if diff < 0.0:
-        return 0.0
-    return diff ** alpha
 
 
 def compute_accelerations(
@@ -508,35 +488,33 @@ def _coerce_initial_acceleration(cfg: CfoConfig, n_p: int, n_d: int) -> np.ndarr
 def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
     """Execute one optimization run and return its record.
 
-    Per step: advance positions, retrieve escapees, evaluate fitnesses in
-    ascending probe order, update the best bookkeeping and the saved-best
-    ring, update the repositioning factor, compute the next accelerations,
-    then record diagnostics. Runs to n_steps, or stops at the first fitness
-    saturation when early_termination is on.
+    Per step: advance positions, retrieve escapees, evaluate all probes in
+    one objective batch (rows in ascending probe order), update the best
+    bookkeeping and the saved-best ring, update the repositioning factor,
+    compute the next accelerations, then record diagnostics. Runs to
+    n_steps, or stops at the first fitness saturation when
+    early_termination is on.
     """
     cfg.validate(space)
     n_p, n_d = int(cfg.n_probes), space.n_dims
 
-    eval_ctx = getattr(objective, "evaluate_with_context", None)
-    eval_fn = getattr(objective, "evaluate", objective)
+    batch = batch_form(objective)
 
     def evaluate_all(pos: np.ndarray, step: int) -> np.ndarray:
-        out = np.empty(n_p)
-        for p in range(n_p):
-            x = pos[p].copy()
-            try:
-                v = eval_ctx(x, step, p + 1) if eval_ctx is not None else eval_fn(x)
-            except Exception as exc:
-                raise EngineError(
-                    f"objective failed at step {step}, probe {p + 1}: {exc}"
-                ) from exc
-            v = float(v)
-            if not math.isfinite(v):
-                raise EngineError(
-                    f"objective returned non-finite fitness at step {step}, probe {p + 1}"
-                )
-            out[p] = v
-        return out
+        try:
+            values = np.asarray(batch(pos.copy(), step=step), dtype=float)
+        except Exception as exc:
+            probe = getattr(exc, "failed_row", None)
+            where = f"step {step}" if probe is None else f"step {step}, probe {probe}"
+            raise EngineError(f"objective failed at {where}: {exc}") from exc
+        if values.shape != (n_p,):
+            raise EngineError(f"objective gave shape {values.shape} at step {step}, not ({n_p},)")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise EngineError(
+                f"objective returned non-finite fitness at step {step}, probe {bad[0] + 1}"
+            )
+        return values
 
     keep_history = cfg.keep_history
     if keep_history is None:

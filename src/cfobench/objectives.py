@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,34 +28,51 @@ class ObjectiveError(ValueError):
 
 @dataclass
 class Objective:
+    """evaluate_batch(rows, step=0) returns one float per row, evaluating the
+    rows in order (a stateful objective consumes its stream in row order);
+    step is the engine step. evaluate(x) is the batch of one row."""
+
     id: str
     n_dims: int
     bounds: DecisionSpace
-    evaluate: Callable
-    evaluate_batch: Optional[Callable] = None
-    evaluate_with_context: Optional[Callable] = None
+    evaluate_batch: Callable
+    evaluate: Optional[Callable] = None
     noise: Optional[NoiseState] = None
     close: Optional[Callable] = None
     description: str = ""
 
+    def __post_init__(self):
+        if self.evaluate is None:
+            batch = self.evaluate_batch
+            self.evaluate = lambda x: float(batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
-def _vectorized(obj_id, rows_fn, bounds, description="") -> Objective:
-    space = DecisionSpace.from_bounds(bounds)
 
-    def evaluate(x):
-        return float(rows_fn(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+def row_loop(evaluate_row: Callable) -> Callable:
+    """Batch form of evaluate_row(x, step, probe), probe being the 1-based
+    row number; an exception keeps its type and gets a failed_row attribute."""
 
-    def evaluate_batch(x):
-        return np.asarray(rows_fn(np.asarray(x, dtype=float)), dtype=float)
+    def evaluate_batch(rows, step=0):
+        rows = np.asarray(rows, dtype=float)
+        out = np.empty(len(rows))
+        for i, x in enumerate(rows):
+            try:
+                out[i] = float(evaluate_row(x, step, i + 1))
+            except Exception as exc:
+                exc.failed_row = i + 1
+                raise
+        return out
 
-    return Objective(
-        id=obj_id,
-        n_dims=space.n_dims,
-        bounds=space,
-        evaluate=evaluate,
-        evaluate_batch=evaluate_batch,
-        description=description,
-    )
+    return evaluate_batch
+
+
+def batch_form(objective) -> Callable:
+    """The objective's evaluate_batch; a plain callable, or an object with
+    only evaluate, is evaluated one row at a time."""
+    batch = getattr(objective, "evaluate_batch", None)
+    if batch is not None:
+        return batch
+    evaluate = getattr(objective, "evaluate", objective)
+    return row_loop(lambda x, _step, _probe: evaluate(x))
 
 
 def _shift_rows(rows_fn, offsets):
@@ -158,13 +175,13 @@ def _pbm5_geometry(x):
 
 def _antenna_factory(geometry, bounds, description):
     def factory(obj_id):
-        def evaluate(x):
+        def directivity_at(x, _step, _probe):
             pattern, key, theta0, phi0, mesh_sum = geometry(x)
             return antenna.directivity(pattern, theta0, phi0, power_key=key, mesh_sum=mesh_sum)
 
         space = DecisionSpace.from_bounds(bounds)
         return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                         evaluate=evaluate, description=description)
+                         evaluate_batch=row_loop(directivity_at), description=description)
 
     return factory
 
@@ -211,7 +228,7 @@ def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective
     space = DecisionSpace.from_bounds(bounds)
     client = ExternalObjective(command, timeout=timeout)
     return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                     evaluate=lambda x: client.evaluate(x), evaluate_with_context=client.evaluate,
+                     evaluate_batch=row_loop(client.evaluate),
                      close=client.close, description=f"external process objective: {command!r}")
 
 
@@ -226,7 +243,13 @@ def _analytic_factory(rows_fn, bounds, description, offsets=None, dims_option=Fa
             b = [bounds[0]] * (len(bounds) if n_dims is None else int(n_dims))
         elif n_dims is not None and n_dims != len(bounds):
             raise ObjectiveError(f"{obj_id}: dimensionality is fixed at {len(bounds)}")
-        return _vectorized(obj_id, fn, b, description)
+        space = DecisionSpace.from_bounds(b)
+
+        def evaluate_batch(rows, step=0):
+            return np.asarray(fn(np.asarray(rows, dtype=float)), dtype=float)
+
+        return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
+                         evaluate_batch=evaluate_batch, description=description)
 
     return factory
 
@@ -314,22 +337,17 @@ def get_objective(obj_id: str, /, **options) -> Objective:
 
 
 def with_noise(obj: Objective, sigma: float, seed: int, mu: float = 0.0) -> Objective:
-    """Additive Gaussian noise on the returned fitness, seeded stream.
+    """Additive Gaussian noise on the returned fitness, from a seeded stream.
 
-    The noisy objective is stateful (the stream advances per call), so batch
-    evaluation is disabled and evaluation order matters for reproducibility.
+    The noisy objective is stateful: a batch evaluates the base rows, then
+    draws one deviate per row in row order, so n rows in one batch consume
+    the stream exactly as n batches of one row do.
     """
     state = NoiseState.seeded(seed, mu=mu, sigma=sigma)
-    base_eval = obj.evaluate
+    base_batch = obj.evaluate_batch
 
-    def evaluate_noisy(x):
-        return base_eval(x) + gaussian_deviate(state)
+    def evaluate_batch(rows, step=0):
+        return np.array([v + gaussian_deviate(state) for v in base_batch(rows, step=step)])
 
-    return Objective(
-        id=obj.id,
-        n_dims=obj.n_dims,
-        bounds=obj.bounds,
-        evaluate=evaluate_noisy,
-        noise=state,
-        description=(obj.description + " + additive Gaussian noise").strip(),
-    )
+    return replace(obj, evaluate_batch=evaluate_batch, evaluate=None, noise=state,
+                   description=(obj.description + " + additive Gaussian noise").strip())

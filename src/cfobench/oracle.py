@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .objectives import batch_form
 from .space import DecisionSpace
 
 MAX_GRID_POINTS = 100_000_000
@@ -77,10 +78,7 @@ def grid_oracle(objective, bounds=None, resolution=101) -> OracleResult:
     shape = tuple(len(ax) for ax in axes)
     total = int(np.prod(shape))
 
-    eval_fn = getattr(objective, "evaluate", objective)
-    # scalar-only objectives go through the same chunks, one row at a time
-    batch = getattr(objective, "evaluate_batch", None) or (
-        lambda points: [eval_fn(p) for p in points])
+    batch = batch_form(objective)
 
     best_value = -np.inf
     best_point: Optional[np.ndarray] = None

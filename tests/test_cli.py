@@ -208,6 +208,26 @@ def test_sweep_summary(tmp_path, capsys):
     assert "best run" in printed
 
 
+@pytest.mark.parametrize("objective, sweep", [
+    ("pbm2", {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 4}),
+    ({"id": "gp", "options": {"noise": {"seed": 1}}},
+     {"parameter": "seed", "start": 1, "stop": 4, "count": 4}),
+])
+def test_sweep_jobs_do_not_change_the_output(tmp_path, objective, sweep):
+    # the threads share the module-level power cache
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        doc = {"objective": objective, "cfo": {"n_probes": 8, "n_steps": 20}, "sweep": sweep,
+               "outputs": {"dir": str(out), "trajectories": True}}
+        cfg = write_config(tmp_path, doc, f"jobs{jobs}.json")
+        assert main(["sweep", "--config", cfg, "--jobs", jobs, "--quiet"]) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) > 4 * 3
+    assert trees[0] == trees[1]
+
+
 def test_sweep_validation(tmp_path):
     doc = {
         "objective": "sgo",

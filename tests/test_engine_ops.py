@@ -11,7 +11,6 @@ from cfobench.engine import (
     RunState,
     advance_positions,
     best_fitness,
-    cfo_mass,
     compute_accelerations,
     d_avg,
     detect_davg_saturation,
@@ -20,7 +19,6 @@ from cfobench.engine import (
     init_probes,
     retrieve_errant_probes,
     saved_slot_index,
-    unit_step,
     update_frep,
 )
 from cfobench.space import DecisionSpace
@@ -41,18 +39,6 @@ def make_state(saved, frep):
         saved_best=np.asarray(saved, dtype=float),
         frep_current=frep,
     )
-
-
-def test_unit_step():
-    assert unit_step(0.0) == 1
-    assert unit_step(-3.2) == 0
-    assert unit_step(1e-12) == 1
-
-
-def test_cfo_mass():
-    assert cfo_mass(5.0, 3.0, 2.0) == 4.0
-    assert cfo_mass(3.0, 5.0, 2.0) == 0.0
-    assert cfo_mass(7.0, 7.0, 2.0) == 0.0
 
 
 def test_acceleration_two_probe_line():

@@ -125,17 +125,39 @@ def test_history_suppressed_for_long_runs():
 
 
 def test_evaluation_context_is_forwarded():
+    # one batch per step, holding every probe, with the step passed along
     calls = []
 
     class Recorder:
         bounds = UNIT_BOX
 
-        def evaluate_with_context(self, x, step, probe):
-            calls.append((step, probe))
-            return quad_objective(x)
+        def evaluate_batch(self, rows, step=0):
+            calls.append((step, rows.shape))
+            return -np.sum(rows ** 2, axis=1)
 
     cfg = CfoConfig(n_probes=4, n_steps=2)
     run(cfg, UNIT_BOX, Recorder())
-    assert calls[:4] == [(0, 1), (0, 2), (0, 3), (0, 4)]
-    assert calls[-1] == (2, 4)
-    assert len(calls) == 12
+    assert calls == [(0, (4, 2)), (1, (4, 2)), (2, (4, 2))]
+
+
+def test_failing_callable_names_the_step_and_probe():
+    def second_probe_fails(x):
+        if x[0] > 0.0:
+            raise ValueError("bad geometry")
+        return quad_objective(x)
+
+    space = DecisionSpace(np.array([-1.0]), np.array([1.0]))
+    cfg = CfoConfig(n_probes=2, n_steps=5, init_scheme="custom",
+                    initial_probes=np.array([[-0.5], [0.5]]))
+    with pytest.raises(EngineError, match=r"step 0, probe 2: bad geometry") as info:
+        run(cfg, space, second_probe_fails)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_batch_of_the_wrong_shape_is_refused():
+    class Short:
+        def evaluate_batch(self, rows, step=0):
+            return np.zeros(len(rows) - 1)
+
+    with pytest.raises(EngineError, match=r"shape \(3,\) at step 0, not \(4,\)"):
+        run(CfoConfig(n_probes=4, n_steps=2), UNIT_BOX, Short())

@@ -148,3 +148,22 @@ def test_request_wire_format():
     assert fields[:5] == ["EVAL", "trial7", "12", "3", "2"]
     assert float(fields[5]) == 0.5
     assert float(fields[6]) == -1.0 / 3.0  # 17 significant digits round-trip
+
+
+def test_requests_carry_the_step_and_probe():
+    # the evaluator replies 10 * step + probe, so the run's fitness history
+    # shows what every request carried
+    code = (
+        "import sys\n"
+        "print('CFO-OBJ 1', flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    f = line.split()\n"
+        "    print('FITNESS', 10 * int(f[2]) + int(f[3]), flush=True)\n"
+    )
+    obj = get_objective("external", command=[sys.executable, "-c", code],
+                        bounds=[[-1.0, 1.0], [-1.0, 1.0]])
+    try:
+        rec = run(CfoConfig(n_probes=4, n_steps=2), obj.bounds, obj)
+    finally:
+        obj.close()
+    assert rec.fitness_history.tolist() == [[10 * s + p for p in range(1, 5)] for s in range(3)]

@@ -1,0 +1,132 @@
+"""Byte comparison of every output file of two checkouts.
+
+    python3 tools/records_diff.py run --checkout PARENT OUT_A
+    python3 tools/records_diff.py run --checkout CHANGE OUT_B
+    python3 tools/records_diff.py diff OUT_A OUT_B
+
+`run` executes, with the package in CHECKOUT/src (default: this checkout),
+every benchmark operation of perfbench/workloads.py at seeds 0 and 1 at
+full size, plus the extra runs and oracles below: every init scheme, noise,
+an external child, early termination and a --seed override sweep. `diff`
+compares the two output trees file by file (the configs name their own
+directory, so the first tree's path is replaced by the second's) and exits
+1 when any file differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+EXTERNAL = {"id": "external", "options": {"command": [sys.executable, "-m", "cfobench.external", "quadratic"],
+                                          "bounds": [[-3.0, 3.0]] * 3}}
+EXTRA = {  # name: (objective, cfo block)
+    "gp_on_axis": ("gp", {"n_probes": 8, "n_steps": 300, "gamma": 0.3}),
+    "himmelblau_grid": ("himmelblau", {"n_probes": 9, "n_steps": 200, "init_scheme": "grid_2d"}),
+    "sgo_grid16": ("sgo", {"n_probes": 16, "n_steps": 150, "init_scheme": "grid-2d"}),
+    "colville_offdiag": ("colville", {"n_probes": 12, "n_steps": 200, "init_scheme": "off_diagonal"}),
+    "parrott_offdiag": ("parrott_f4", {"n_probes": 5, "n_steps": 100, "init_scheme": "off_diagonal"}),
+    "griewank_custom": ("griewank", {"n_probes": 3, "n_steps": 120, "init_scheme": "custom",
+                                     "initial_probes": [[-500.0, 10.0], [3.0, 4.0], [200.0, -100.0]]}),
+    "step_early": ("step", {"n_probes": 8, "n_steps": 400, "n_avg_steps": 10, "early_termination": True}),
+    "step_shifted": ("step_shifted", {"n_probes": 8, "n_steps": 200, "gamma": 0.9}),
+    "gp_shifted_accel": ("gp_shifted", {"n_probes": 8, "n_steps": 200, "initial_acceleration": [0.5, -0.25]}),
+    "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3, "sigma": 0.4}}}, {"n_probes": 8, "n_steps": 200}),
+    "pbm2_noisy": ({"id": "pbm2", "options": {"noise": {"seed": 5}}}, {"n_probes": 8, "n_steps": 20}),
+    "external_offdiag": (EXTERNAL, {"n_probes": 12, "n_steps": 60, "init_scheme": "off_diagonal"}),
+    "pbm2_grid": ("pbm2", {"n_probes": 16, "n_steps": 3, "init_scheme": "grid_2d"}),
+}
+for _g in (0.0, 0.5, 1.0):
+    for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
+        EXTRA[f"{_f}_g{_g}"] = (_f, {"n_steps": 100, "gamma": _g})
+EXTRA_ORACLES = {  # name: (objective, resolution)
+    "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
+    "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, [2] * 5),
+    "external": (EXTERNAL, [5, 5, 5]),
+}
+
+
+def _use_checkout(checkout: Path):
+    """Import cfobench and workloads from checkout; external children too."""
+    src = str(checkout / "src")
+    sys.path[:0] = [src, str(checkout / "perfbench")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
+def _write_config(out: Path, name: str, objective, **blocks) -> str:
+    path = out / "extra" / (name + ".json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"objective": objective, **blocks}))
+    return str(path)
+
+
+def run(out: Path):
+    import workloads
+    from cfobench import cli, oracle
+
+    for seed in (0, 1):
+        for wl in workloads.WORKLOADS:
+            plan = json.loads(workloads.write_plan(wl, seed, out / f"{wl}_s{seed}", sys.executable).read_text())
+            grid = {}
+            for op in plan["ops"]:
+                spec = cli.load_config(op["config"])
+                if op["kind"] == "run":
+                    cli.run_benchmark(spec, quiet=True)
+                elif op["kind"] == "sweep":
+                    cli.sweep_runs(spec, quiet=True)
+                elif op["kind"] == "oracle":
+                    grid[op["name"]] = cli.oracle_command(spec, op["resolution"], quiet=True)
+                else:
+                    r = oracle.refine(spec.objective, center=grid[op["center_from"]].argmax,
+                                      half_widths=op["half_widths"], levels=op["levels"], n_points=op["n_points"])
+                    Path(op["out_dir"]).mkdir(parents=True)
+                    (Path(op["out_dir"]) / "refine.json").write_text(
+                        json.dumps([r.argmax.tolist(), r.value, r.n_evaluations]))
+    for name, (objective, cfo) in EXTRA.items():
+        path = _write_config(out, name, objective, cfo=cfo,
+                             outputs={"dir": str(out / "extra" / name), "trajectories": True})
+        cli.run_benchmark(cli.load_config(path), quiet=True)
+    for name, (objective, resolution) in EXTRA_ORACLES.items():
+        path = _write_config(out, "oracle_" + name, objective,
+                             outputs={"dir": str(out / "extra" / ("oracle_" + name))})
+        cli.oracle_command(cli.load_config(path), resolution, quiet=True)
+    path = _write_config(out, "seed_override", "himmelblau", cfo={"n_steps": 50},
+                         outputs={"dir": str(out / "extra" / "seed_override")},
+                         sweep={"parameter": "gamma", "start": 0, "stop": 1, "count": 3})
+    cli.sweep_runs(cli.load_config(path, seed_override=99), quiet=True)
+
+
+def diff(a: Path, b: Path) -> int:
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    if files != sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file()):
+        print("the two trees hold different file names")
+        return 1
+    bad = [str(rel) for rel in files
+           if (a / rel).read_bytes().replace(str(a).encode(), str(b).encode()) != (b / rel).read_bytes()]
+    n_rec = sum(rel.name == "record.json" for rel in files)
+    print(f"{len(files)} files ({n_rec} record.json), {len(bad)} differ", *bad, sep="\n")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="write every output of one checkout")
+    p_run.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    p_run.add_argument("out", type=Path)
+    p_diff = sub.add_parser("diff", help="compare two output trees")
+    p_diff.add_argument("a", type=Path)
+    p_diff.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "diff":
+        return diff(args.a.resolve(), args.b.resolve())
+    _use_checkout(args.checkout.resolve())
+    run(args.out.resolve())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
