@@ -9,14 +9,21 @@ is why the acceptance targets carry 5-10% tolerances.
 
 Every power integral is the same midpoint sum on the nodes and weights of
 sphere_mesh. radiated_power sums all nodes unless the caller hands it an
-exact cheaper form of that sum: octant_power for patterns even under the
-three coordinate reflections (1/8 of the nodes), or CouplingMatrix.power
-for a fixed planar array whose excitations vary (Re(e^H K e), an N x N
-product once K is built).
+exact cheaper form of that sum: axisymmetric_power for patterns that do not
+depend on phi (one node per theta row, folded in numpy's own pairwise
+summation order, so the result is the full sum's bits), octant_power for
+patterns even under the three coordinate reflections (1/8 of the nodes), or
+CouplingMatrix.power for a fixed planar array whose excitations vary
+(Re(e^H K e), an N x N product once K is built).
+
+dipole_pattern and uniform_line_field also take arrays of lengths or
+spacings that broadcast with theta, so a batch of steering amplitudes is
+one array call with the same bits as one call per geometry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,7 +41,7 @@ class DegeneratePatternError(ValueError):
     """The pattern radiates no power on the quadrature grid."""
 
 
-def _element_factor(length: float, cos_psi):
+def _element_factor(length, cos_psi):
     """Sinusoidal-current dipole magnitude as a function of cos(axis angle).
 
     |cos(pi L c) - cos(pi L)| / sin(psi), with the removable zero at the
@@ -42,13 +49,15 @@ def _element_factor(length: float, cos_psi):
     """
     c = np.asarray(cos_psi, dtype=float)
     sin_psi = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    num = np.abs(np.cos(np.pi * length * c) - math.cos(np.pi * length))
+    num = np.abs(np.cos(np.pi * length * c) - np.cos(np.pi * length))
     return np.where(sin_psi > _SIN_EPS, num / np.maximum(sin_psi, _SIN_EPS), 0.0)
 
 
-def dipole_pattern(length: float, theta):
-    """Far-field magnitude of a z-oriented center-fed dipole of given length."""
-    if not length > 0:
+def dipole_pattern(length, theta):
+    """Far-field magnitude of a z-oriented center-fed dipole of given length.
+
+    length may be an array that broadcasts with theta."""
+    if not np.all(np.asarray(length) > 0):
         raise ValueError("dipole length must be > 0")
     th = np.asarray(theta, dtype=float)
     out = _element_factor(length, np.cos(th))
@@ -175,29 +184,33 @@ def collinear_array_spec(spacings) -> ArraySpec:
 def uniform_line_pattern(d: float, n_elements: int = 10) -> Callable:
     """Closed-form magnitude for the uniform in-phase line of z-dipoles.
 
-    Same field as array_pattern(linear_array_spec(d, n_elements)): for equal
-    spacing the excitation sum telescopes to sin(n psi/2)/sin(psi/2) with
-    psi = 2 pi d sin(theta) cos(phi), which costs one sine pair per point
-    instead of one complex exponential per element. Points where psi is a
-    multiple of 2 pi are in-phase addition and evaluate to n_elements.
+    Same field as array_pattern(linear_array_spec(d, n_elements)), as
+    pattern(theta, phi) = uniform_line_field(d, n_elements, theta, phi).
     """
     if d <= 0.0:
         raise ValueError("element spacing must be positive")
-    n = int(n_elements)
+    return functools.partial(uniform_line_field, d, int(n_elements))
 
-    def pattern(theta, phi):
-        th = np.asarray(theta, dtype=float)
-        ph = np.asarray(phi, dtype=float)
-        st, ct = np.sin(th), np.cos(th)
-        elem = _element_factor(0.5, ct)
-        half = math.pi * d * (st * np.cos(ph))
-        denom = np.sin(half)
-        safe = np.where(np.abs(denom) < 1e-9, 1.0, denom)
-        af = np.where(np.abs(denom) < 1e-9, float(n), np.sin(n * half) / safe)
-        out = np.abs(af) * elem
-        return float(out) if np.ndim(out) == 0 else out
 
-    return pattern
+def uniform_line_field(d, n_elements: int, theta, phi):
+    """|F| of the uniform in-phase line of n_elements z-dipoles, spacing d.
+
+    For equal spacing the excitation sum telescopes to sin(n psi/2)/sin(psi/2)
+    with psi = 2 pi d sin(theta) cos(phi), which costs one sine pair per point
+    instead of one complex exponential per element. Points where psi is a
+    multiple of 2 pi are in-phase addition and evaluate to n_elements. d may
+    be an array of spacings that broadcasts with theta and phi.
+    """
+    th = np.asarray(theta, dtype=float)
+    ph = np.asarray(phi, dtype=float)
+    st, ct = np.sin(th), np.cos(th)
+    elem = _element_factor(0.5, ct)
+    half = math.pi * d * (st * np.cos(ph))
+    denom = np.sin(half)
+    safe = np.where(np.abs(denom) < 1e-9, 1.0, denom)
+    af = np.where(np.abs(denom) < 1e-9, float(n_elements), np.sin(n_elements * half) / safe)
+    out = np.abs(af) * elem
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +219,7 @@ def uniform_line_pattern(d: float, n_elements: int = 10) -> Callable:
 _MESH_CACHE: dict = {}
 _POWER_CACHE: dict = {}
 _POWER_CACHE_LIMIT = 1 << 18
+_PW_BLOCK = 128  # leaf size of numpy's pairwise summation
 
 
 def _mesh(n_theta: int, n_phi: int):
@@ -236,6 +250,37 @@ def _midpoint_sum(pattern: Callable, n_theta: int, n_phi: int, rows: int, cols: 
     f = np.asarray(pattern(th[:rows], ph[:, :cols]), dtype=float)
     f = np.broadcast_to(f, (rows, cols))
     return float(np.sum(f * f * sin_th[:rows]) * (math.pi / n_theta) * (TWO_PI / n_phi))
+
+
+def axisymmetric_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
+    """radiated_power's midpoint sum, bit for bit, for a pattern that does not
+    depend on phi.
+
+    Every theta row of the full-mesh summand holds one repeated value v, and
+    np.sum reduces the contiguous mesh pairwise (numpy's pairwise_sum): leaf
+    blocks of 128 values summed with eight running accumulators, then a
+    halving tree. A leaf of 128 copies of v is 8 times (v added to itself 16
+    times), exactly, and when the leaves tile the rows and their count is a
+    power of two the tree is log2(count) levels of pairwise sums. Any other
+    mesh raises ValueError. The result is exact for numpy builds that reduce
+    in this order, which tests/test_antenna.py checks against the full sum.
+    """
+    leaves = n_theta * n_phi // _PW_BLOCK
+    if n_phi % _PW_BLOCK or leaves < 1 or leaves & (leaves - 1):
+        raise ValueError(
+            f"the phi fold needs n_phi divisible by {_PW_BLOCK} and a power-of-two "
+            f"number of {_PW_BLOCK}-node blocks, got {n_theta} x {n_phi}"
+        )
+    th, ph, sin_th = _mesh(n_theta, n_phi)
+    f = np.broadcast_to(np.asarray(pattern(th, ph[:, :1]), dtype=float), (n_theta, 1))
+    v = (f * f * sin_th).ravel()
+    acc = v
+    for _ in range(_PW_BLOCK // 8 - 1):
+        acc = acc + v
+    s = np.repeat(8.0 * acc, n_phi // _PW_BLOCK)
+    while len(s) > 1:
+        s = s[0::2] + s[1::2]
+    return float(s[0] * (math.pi / n_theta) * (TWO_PI / n_phi))
 
 
 def octant_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
@@ -328,7 +373,8 @@ def radiated_power(
     calls on the same geometry; the key must determine the pattern.
     mesh_sum, when given, is a callable (n_theta, n_phi) -> power that
     evaluates the same sum on the same nodes in a cheaper exact form
-    (octant_power, CouplingMatrix.power); without it every node is summed.
+    (axisymmetric_power, octant_power, CouplingMatrix.power); without it
+    every node is summed.
     """
     if power_key is not None:
         cached = _POWER_CACHE.get((power_key, n_theta, n_phi))
@@ -367,5 +413,10 @@ def directivity(
     power = radiated_power(pattern, n_theta, n_phi, power_key, mesh_sum)
     if power == 0.0:
         raise DegeneratePatternError("degenerate pattern: no radiated power")
-    amp = float(np.abs(pattern(np.float64(theta0), np.float64(phi0))))
+    amp = steering_amplitude(pattern, theta0, phi0)
     return 4.0 * math.pi * amp * amp / power
+
+
+def steering_amplitude(pattern: Callable, theta0: float, phi0: float) -> float:
+    """|F(theta0, phi0)|, the numerator's amplitude in directivity."""
+    return float(np.abs(pattern(np.float64(theta0), np.float64(phi0))))

@@ -39,7 +39,6 @@ class Objective:
     evaluate: Optional[Callable] = None
     noise: Optional[NoiseState] = None
     close: Optional[Callable] = None
-    description: str = ""
 
     def __post_init__(self):
         if self.evaluate is None:
@@ -141,12 +140,23 @@ def _himmelblau_rows(X):
 # ---------------------------------------------------------------------------
 # antenna surrogate objectives: each id's geometry maps x to the pattern, its
 # power-cache key, the steering angles (theta0, phi0) and the exact cheaper
-# form of the power sum radiated_power should use (None sums every node)
+# form of the power sum radiated_power should use; an id's steering, when it
+# has one, gives |F(theta0, phi0)| for a whole batch of rows in one array call
 
 
 def _pbm1_geometry(x):
+    # the dipole's |F| does not depend on phi
     length, theta = float(x[0]), float(x[1])
-    return (lambda th, ph: antenna.dipole_pattern(length, th)), ("pbm1", length), theta, 0.0, None
+
+    def pattern(th, _ph):
+        return antenna.dipole_pattern(length, th)
+
+    return (pattern, ("pbm1", length), theta, 0.0,
+            functools.partial(antenna.axisymmetric_power, pattern))
+
+
+def _pbm1_steering(rows):
+    return antenna.dipole_pattern(rows[:, 0], rows[:, 1])
 
 
 def _pbm2_geometry(x):
@@ -155,6 +165,10 @@ def _pbm2_geometry(x):
     pattern = antenna.uniform_line_pattern(d, 10)
     return (pattern, ("pbm2", 10, d), theta, math.pi / 2,
             functools.partial(antenna.octant_power, pattern))
+
+
+def _pbm2_steering(rows):
+    return antenna.uniform_line_field(rows[:, 0], 10, rows[:, 1], math.pi / 2)
 
 
 def _pbm3_geometry(ring, x):
@@ -173,15 +187,35 @@ def _pbm5_geometry(x):
     return pattern, key, math.pi / 2, 0.0, functools.partial(antenna.octant_power, pattern)
 
 
-def _antenna_factory(geometry, bounds, description):
+def _antenna_factory(geometry, bounds, steering=None):
+    """Directivity per row, with the bits of antenna.directivity: each row's
+    power goes through radiated_power with its power key (a cache hit on a
+    repeat), and the steering amplitude is computed per row as directivity
+    does, or for the whole batch by steering(rows) when the id has one."""
+
     def factory(obj_id):
-        def directivity_at(x, _step, _probe):
-            pattern, key, theta0, phi0, mesh_sum = geometry(x)
-            return antenna.directivity(pattern, theta0, phi0, power_key=key, mesh_sum=mesh_sum)
+        def evaluate_batch(rows, step=0):
+            rows = np.asarray(rows, dtype=float)
+            power = np.empty(len(rows))
+            amp = np.empty(len(rows))
+            for i, x in enumerate(rows):
+                try:
+                    pattern, key, theta0, phi0, mesh_sum = geometry(x)
+                    power[i] = antenna.radiated_power(pattern, power_key=key, mesh_sum=mesh_sum)
+                    if power[i] == 0.0:
+                        raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
+                    if steering is None:
+                        amp[i] = antenna.steering_amplitude(pattern, theta0, phi0)
+                except Exception as exc:
+                    exc.failed_row = i + 1
+                    raise
+            if steering is not None:
+                amp = np.abs(steering(rows))
+            return 4.0 * math.pi * amp * amp / power
 
         space = DecisionSpace.from_bounds(bounds)
         return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                         evaluate_batch=row_loop(directivity_at), description=description)
+                         evaluate_batch=evaluate_batch)
 
     return factory
 
@@ -190,19 +224,14 @@ def _make_pbm3(obj_id) -> Objective:
     # the ring's positions do not depend on beta, so one coupling matrix serves
     # every evaluation; it is built on the first one, not here
     ring = antenna.CouplingMatrix(antenna.circular_array_spec(0.0))
-    return _antenna_factory(
-        functools.partial(_pbm3_geometry, ring), [(0.0, 4.0), (0.0, math.pi)],
-        "phase-steered 8-element ring directivity over (beta, theta)",
-    )(obj_id)
+    return _antenna_factory(functools.partial(_pbm3_geometry, ring),
+                            [(0.0, 4.0), (0.0, math.pi)])(obj_id)
 
 
 def _make_pbm5(obj_id, n_elements=10) -> Objective:
     if not isinstance(n_elements, (int, np.integer)) or n_elements < 2:
         raise ObjectiveError("pbm5: n_elements must be an integer >= 2")
-    return _antenna_factory(
-        _pbm5_geometry, [(0.5, 1.5)] * (n_elements - 1),
-        f"collinear {n_elements}-element broadside directivity over spacings",
-    )(obj_id)
+    return _antenna_factory(_pbm5_geometry, [(0.5, 1.5)] * (n_elements - 1))(obj_id)
 
 
 def _make_pbm4(obj_id, /, **_options):
@@ -228,11 +257,10 @@ def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective
     space = DecisionSpace.from_bounds(bounds)
     client = ExternalObjective(command, timeout=timeout)
     return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                     evaluate_batch=row_loop(client.evaluate),
-                     close=client.close, description=f"external process objective: {command!r}")
+                     evaluate_batch=row_loop(client.evaluate), close=client.close)
 
 
-def _analytic_factory(rows_fn, bounds, description, offsets=None, dims_option=False):
+def _analytic_factory(rows_fn, bounds, offsets=None, dims_option=False):
     def factory(obj_id, n_dims=None):
         fn = rows_fn if offsets is None else _shift_rows(rows_fn, offsets)
         b = bounds
@@ -249,51 +277,30 @@ def _analytic_factory(rows_fn, bounds, description, offsets=None, dims_option=Fa
             return np.asarray(fn(np.asarray(rows, dtype=float)), dtype=float)
 
         return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                         evaluate_batch=evaluate_batch, description=description)
+                         evaluate_batch=evaluate_batch)
 
     return factory
 
 
 REGISTRY: dict = {
-    "parrott_f4": _analytic_factory(_parrott_f4_rows, [(0.0, 1.0)],
-                                    "narrow decaying lobe train on the unit interval"),
-    "sgo": _analytic_factory(_sgo_rows, [(-5.0, 5.0)] * 2,
-                             "two-dimensional double-well quartic"),
-    "sgo_shifted": _analytic_factory(_sgo_rows, [(-50.0, 50.0)] * 2,
-                                     "quartic with the benchmark offsets",
-                                     offsets=(40.0, 10.0)),
-    "gp": _analytic_factory(_gp_rows, [(-2.0, 2.0)] * 2, "Goldstein-Price, negated"),
-    "gp_shifted": _analytic_factory(_gp_rows, [(-100.0, 100.0)] * 2,
-                                    "Goldstein-Price with the benchmark offsets",
-                                    offsets=(20.0, -10.0)),
-    "step": _analytic_factory(_step_rows, [(-100.0, 100.0)] * 2,
-                              "negated step plateaus", dims_option=True),
-    "step_shifted": _analytic_factory(_step_rows, [(-100.0, 100.0)] * 2,
-                                      "step plateaus with the benchmark offsets",
-                                      offsets=(75.0, 35.0)),
-    "schwefel_226": _analytic_factory(_schwefel_rows, [(-500.0, 500.0)] * 30,
-                                      "Schwefel sine-sqrt landscape", dims_option=True),
-    "colville": _analytic_factory(_colville_rows, [(-10.0, 10.0)] * 4,
-                                  "Colville valley, negated"),
-    "colville_shifted": _analytic_factory(_colville_rows, [(-10.0, 10.0)] * 4,
-                                          "Colville with the benchmark offset",
-                                          offsets=(7.123,) * 4),
-    "griewank": _analytic_factory(_griewank_rows, [(-600.0, 600.0)] * 2,
-                                  "Griewank bowl with cosine ripple, negated",
-                                  dims_option=True),
+    "parrott_f4": _analytic_factory(_parrott_f4_rows, [(0.0, 1.0)]),
+    "sgo": _analytic_factory(_sgo_rows, [(-5.0, 5.0)] * 2),
+    "sgo_shifted": _analytic_factory(_sgo_rows, [(-50.0, 50.0)] * 2, offsets=(40.0, 10.0)),
+    "gp": _analytic_factory(_gp_rows, [(-2.0, 2.0)] * 2),
+    "gp_shifted": _analytic_factory(_gp_rows, [(-100.0, 100.0)] * 2, offsets=(20.0, -10.0)),
+    "step": _analytic_factory(_step_rows, [(-100.0, 100.0)] * 2, dims_option=True),
+    "step_shifted": _analytic_factory(_step_rows, [(-100.0, 100.0)] * 2, offsets=(75.0, 35.0)),
+    "schwefel_226": _analytic_factory(_schwefel_rows, [(-500.0, 500.0)] * 30, dims_option=True),
+    "colville": _analytic_factory(_colville_rows, [(-10.0, 10.0)] * 4),
+    "colville_shifted": _analytic_factory(_colville_rows, [(-10.0, 10.0)] * 4, offsets=(7.123,) * 4),
+    "griewank": _analytic_factory(_griewank_rows, [(-600.0, 600.0)] * 2, dims_option=True),
     "griewank_shifted": _analytic_factory(_griewank_rows, [(-600.0, 600.0)] * 2,
-                                          "Griewank with the benchmark offset",
                                           offsets=(75.123, 75.123)),
-    "himmelblau": _analytic_factory(_himmelblau_rows, [(-6.0, 6.0)] * 2,
-                                    "inverted Himmelblau, four maxima of 200"),
-    "neg_sum_squares": _analytic_factory(lambda X: -np.sum(X ** 2, axis=1),
-                                         [(-5.0, 5.0)] * 3,
-                                         "smooth paraboloid, maximum 0 at the origin",
+    "himmelblau": _analytic_factory(_himmelblau_rows, [(-6.0, 6.0)] * 2),
+    "neg_sum_squares": _analytic_factory(lambda X: -np.sum(X ** 2, axis=1), [(-5.0, 5.0)] * 3,
                                          dims_option=True),
-    "pbm1": _antenna_factory(_pbm1_geometry, [(0.5, 3.0), (0.0, math.pi / 2)],
-                             "variable-length dipole directivity over (length, theta)"),
-    "pbm2": _antenna_factory(_pbm2_geometry, [(5.0, 15.0), (0.0, math.pi)],
-                             "uniform 10-element line directivity in the phi=90 plane"),
+    "pbm1": _antenna_factory(_pbm1_geometry, [(0.5, 3.0), (0.0, math.pi / 2)], _pbm1_steering),
+    "pbm2": _antenna_factory(_pbm2_geometry, [(5.0, 15.0), (0.0, math.pi)], _pbm2_steering),
     "pbm3": _make_pbm3,
     "pbm4": _make_pbm4,
     "pbm5": _make_pbm5,
@@ -349,5 +356,4 @@ def with_noise(obj: Objective, sigma: float, seed: int, mu: float = 0.0) -> Obje
     def evaluate_batch(rows, step=0):
         return np.array([v + gaussian_deviate(state) for v in base_batch(rows, step=step)])
 
-    return replace(obj, evaluate_batch=evaluate_batch, evaluate=None, noise=state,
-                   description=(obj.description + " + additive Gaussian noise").strip())
+    return replace(obj, evaluate_batch=evaluate_batch, evaluate=None, noise=state)

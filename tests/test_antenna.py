@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -220,7 +221,67 @@ def test_antenna_objectives_match_the_full_mesh_directivity(obj_id, options):
         assert obj.evaluate(x) == pytest.approx(directivity(bare, *angles), rel=1e-11)
 
 
+def _dipole(length):
+    return lambda th, ph: dipole_pattern(length, th)
+
+
+@pytest.mark.parametrize("n_theta,n_phi,n_lengths", [(256, 512, 200), (512, 1024, 40)])
+def test_phi_fold_is_the_full_mesh_sum_bit_for_bit(n_theta, n_phi, n_lengths):
+    # ==, not approx: the fold replays numpy's pairwise summation order, so a
+    # numpy build that reduces in another order fails here
+    rng = np.random.default_rng(20261019)
+    for length in rng.uniform(0.5, 3.0, n_lengths):
+        dipole = _dipole(length)
+        assert (antenna.axisymmetric_power(dipole, n_theta, n_phi)
+                == radiated_power(dipole, n_theta, n_phi)), length
+    flat = lambda th, ph: np.ones(np.broadcast(th, ph).shape)
+    assert antenna.axisymmetric_power(flat, n_theta, n_phi) == radiated_power(flat, n_theta, n_phi)
+
+
+def _bare(obj_id, x, ring):
+    """obj_id's pattern at x built from the pattern layer, its steering
+    angles and the same-node power form its objective uses."""
+    if obj_id == "pbm1":
+        pattern = _dipole(x[0])
+        return pattern, (x[1], 0.0), functools.partial(antenna.axisymmetric_power, pattern)
+    if obj_id == "pbm2":
+        pattern = uniform_line_pattern(x[0], 10)
+        return pattern, (x[1], math.pi / 2), functools.partial(antenna.octant_power, pattern)
+    if obj_id == "pbm3":
+        spec = circular_array_spec(x[0])
+        return (array_pattern(spec), (x[1], 0.0),
+                functools.partial(ring.power, spec.excitations))
+    pattern = array_pattern(collinear_array_spec(x))
+    return pattern, (math.pi / 2, 0.0), functools.partial(antenna.octant_power, pattern)
+
+
+@pytest.mark.parametrize("obj_id,options", [("pbm1", {}), ("pbm2", {}), ("pbm3", {}),
+                                            ("pbm5", {"n_elements": 6}), ("pbm5", {})])
+def test_antenna_batches_are_the_directivity_bit_for_bit(obj_id, options):
+    # one batch over a grid (so power keys repeat within it) against an
+    # uncached antenna.directivity call per row on the bare pattern
+    obj = get_objective(obj_id, **options)
+    lo, hi = obj.bounds.lower, obj.bounds.upper
+    if obj_id == "pbm5":
+        rows = lo + np.random.default_rng(11).random((4, obj.n_dims)) * (hi - lo)
+        rows = np.vstack([rows, rows[:1]])
+    else:
+        grid = np.meshgrid(np.linspace(lo[0], hi[0], 21), np.linspace(lo[1], hi[1], 11),
+                           indexing="ij")
+        rows = np.column_stack([g.ravel() for g in grid])
+    ring = antenna.CouplingMatrix(circular_array_spec(0.0))
+    want = []
+    for x in rows:
+        pattern, angles, mesh_sum = _bare(obj_id, x, ring)
+        want.append(directivity(pattern, *angles, mesh_sum=mesh_sum))
+    assert np.array_equal(obj.evaluate_batch(rows), want)
+
+
 def test_same_node_forms_reject_meshes_they_cannot_fold():
+    dipole = _dipole(1.2)
+    for n_theta, n_phi in ((256, 500), (256, 64), (96, 256), (255, 512)):
+        with pytest.raises(ValueError, match="phi fold"):
+            antenna.axisymmetric_power(dipole, n_theta, n_phi)
     line = uniform_line_pattern(6.0)
     for n_theta, n_phi in ((255, 512), (256, 510)):
         with pytest.raises(ValueError, match="octant fold"):

@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of record.json for four short runs.
+"""Golden SHA-256 digests of record.json for seven short runs.
 
 Byte-identical records are guaranteed per platform and numpy build (see the
 README), so the digests are pinned to the build they were taken on and the
@@ -34,6 +34,12 @@ RUNS = {  # name: (objective block, cfo block, record.json SHA-256)
                            "57a3eb9eb630a24a2c44e1e027ceb18d409581e540987ac6a2a011f99161a968"),
     "pbm1": ("pbm1", {"n_probes": 4, "n_steps": 4},
              "32441c970e27d59f4304b4c077c4deef50fcdd6ac7a1cb309bef678046285b11"),
+    "pbm2": ("pbm2", {"n_probes": 8, "n_steps": 20},
+             "0857e96e3e22dcb42296d3112254f23ec19dab36295545f4db7871e148478741"),
+    "pbm3": ("pbm3", {"n_probes": 8, "n_steps": 20},
+             "bb4fe4b15f8ddabc70fd1fc9084b50ac81c079f34521b939426223c6d7b39eb0"),
+    "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, {"n_probes": 10, "n_steps": 6},
+               "18c0784c0f67bcb45c67b92bf394a4836b2b30ed292b28f323854d5959370be1"),
 }
 
 

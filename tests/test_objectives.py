@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cfobench import antenna, get_objective, list_objectives
+from cfobench import antenna, get_objective, list_objectives, objectives
+from cfobench.engine import CfoConfig, EngineError, run
 from cfobench.objectives import ObjectiveError
 from cfobench.rng import NoiseState, gaussian_deviate
+from cfobench.space import DecisionSpace
 
 # Peak locations and values confirmed by direct stationarity checks (the
 # quartic root for sgo, the first lobe center for parrott_f4) before freezing.
@@ -94,6 +96,21 @@ def test_batch_matches_scalar():
     values = batched.evaluate_batch(pts, step=4)
     assert np.array_equal(values, [scalar.evaluate(p) for p in pts])
     assert batched.noise.rng.state == scalar.noise.rng.state
+
+
+def test_degenerate_antenna_row_names_its_probe():
+    # the antenna batch checks each row's power as antenna.directivity does
+    def geometry(x):
+        scale = float(x[0] < 0.0)
+        return (lambda th, ph: scale * np.ones(np.broadcast(th, ph).shape)), None, 1.0, 0.0, None
+
+    obj = objectives._antenna_factory(geometry, [(-1.0, 1.0)])("flat")
+    space = DecisionSpace(np.array([-1.0]), np.array([1.0]))
+    cfg = CfoConfig(n_probes=2, n_steps=1, init_scheme="custom",
+                    initial_probes=np.array([[-0.5], [0.5]]))
+    with pytest.raises(EngineError, match=r"step 0, probe 2: degenerate pattern") as info:
+        run(cfg, space, obj)
+    assert isinstance(info.value.__cause__, antenna.DegeneratePatternError)
 
 
 def test_dimension_options():

@@ -7,10 +7,11 @@
 `run` executes, with the package in CHECKOUT/src (default: this checkout),
 every benchmark operation of perfbench/workloads.py at seeds 0 and 1 at
 full size, plus the extra runs and oracles below: every init scheme, noise,
-an external child, early termination and a --seed override sweep. `diff`
-compares the two output trees file by file (the configs name their own
-directory, so the first tree's path is replaced by the second's) and exits
-1 when any file differs.
+an external child, early termination, a --seed override sweep, a noisy
+`pbm1` run, a 10-element `pbm5` run and a `pbm3` oracle finer than the
+benchmark's. `diff` compares the two output trees file by file (the configs
+name their own directory, so the first tree's path is replaced by the
+second's) and exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ EXTRA = {  # name: (objective, cfo block)
     "pbm2_noisy": ({"id": "pbm2", "options": {"noise": {"seed": 5}}}, {"n_probes": 8, "n_steps": 20}),
     "external_offdiag": (EXTERNAL, {"n_probes": 12, "n_steps": 60, "init_scheme": "off_diagonal"}),
     "pbm2_grid": ("pbm2", {"n_probes": 16, "n_steps": 3, "init_scheme": "grid_2d"}),
+    "pbm1_noisy": ({"id": "pbm1", "options": {"noise": {"seed": 11}}}, {"n_probes": 8, "n_steps": 30}),
+    "pbm5_10": ("pbm5", {"n_probes": 18, "n_steps": 2}),
 }
 for _g in (0.0, 0.5, 1.0):
     for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
@@ -46,6 +49,7 @@ EXTRA_ORACLES = {  # name: (objective, resolution)
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
     "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, [2] * 5),
     "external": (EXTERNAL, [5, 5, 5]),
+    "pbm3_fine": ("pbm3", [81, 41]),
 }
 
 
