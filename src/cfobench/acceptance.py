@@ -172,7 +172,6 @@ def _run_analytic(func_id: str, gamma: float) -> RunRecord:
         n_probes=default_probe_count(space.n_dims),
         n_steps=ANALYTIC_N_STEPS,
         gamma=float(gamma),
-        keep_history=False,
     )
     return run(cfg, space, objective)
 

@@ -20,10 +20,12 @@ Config schema (JSON, all blocks except "objective" optional)::
                   "trajectories": false, "summary": true}
     }
 
-"objective" may also be a bare id string. cfo accepts every CfoConfig field
-by name; n_probes defaults to 4 per dimension and n_steps to 500 when
-omitted. Exit codes: 0 success, 2 config error, 3 objective or protocol
-error, 4 internal invariant violation (verify: 1 when a criterion fails).
+"objective" may also be a bare id string. The cfo keys are the CfoConfig
+fields, which record.json echoes under "config"; n_probes defaults to 4 per
+dimension (at least 6) and n_steps to 500. Numbers must be finite. Per-step
+positions are kept only for trajectories and 2-D probe snapshots. Exit
+codes: 0 success, 2 config error, 3 objective or protocol error, 4 internal
+invariant violation (verify: 1 when a criterion fails).
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,9 +80,6 @@ DEFAULT_MIN_PROBES = 6
 def default_probe_count(n_dims: int) -> int:
     """Documented default: 4 probes per dimension, never fewer than 6."""
     return max(DEFAULT_MIN_PROBES, DEFAULT_PROBES_PER_DIM * n_dims)
-
-_CFO_FIELDS = {f.name for f in dataclasses.fields(CfoConfig)}
-_ARRAY_FIELDS = {"initial_probes", "initial_acceleration"}
 
 
 @dataclass
@@ -137,39 +137,12 @@ def _parse_bounds_block(raw):
     return pairs
 
 
-def _coerce_cfo_value(name: str, value):
-    if name in _ARRAY_FIELDS:
-        if value is None:
-            return None
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cfo.{name}: not a numeric array ({exc})") from None
-    if name == "init_scheme":
-        if not isinstance(value, str):
-            raise ConfigError("cfo.init_scheme: must be a string")
-        return value
-    if name in ("early_termination", "keep_history"):
-        if value is not None and not isinstance(value, bool):
-            raise ConfigError(f"cfo.{name}: must be a boolean")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"cfo.{name}: must be a number")
-    if name in ("n_probes", "n_steps", "n_saved", "n_sat", "n_avg_steps"):
-        if value != int(value):
-            raise ConfigError(f"cfo.{name}: must be an integer")
-        return int(value)
-    return float(value)
-
-
 def _parse_cfo_block(raw: dict, n_dims: int) -> CfoConfig:
     if not isinstance(raw, dict):
         raise ConfigError("cfo: must be an object")
-    _require_keys(raw, _CFO_FIELDS, "cfo")
-    kwargs = {name: _coerce_cfo_value(name, value) for name, value in raw.items()}
-    kwargs.setdefault("n_probes", default_probe_count(n_dims))
-    kwargs.setdefault("n_steps", DEFAULT_N_STEPS)
-    return CfoConfig(**kwargs)
+    return CfoConfig.from_json(
+        {"n_probes": default_probe_count(n_dims), "n_steps": DEFAULT_N_STEPS, **raw}
+    )
 
 
 def _parse_sweep_block(raw):
@@ -245,11 +218,21 @@ def _close(objective) -> None:
         closer()
 
 
+def _finite(parse):
+    """A json number hook that rejects literals outside the finite doubles."""
+    def parse_finite(text: str):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"{text}: config numbers must be finite")
+        return parse(text)
+    return parse_finite
+
+
 def load_config(path, out_override=None, seed_override=None) -> RunSpec:
     """Parse and validate a JSON config file into a ready-to-run spec."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -286,14 +269,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
         cfg = _parse_cfo_block(raw.get("cfo", {}), space.n_dims)
         sweep = _parse_sweep_block(raw.get("sweep"))
         conf_dir, emit = _parse_outputs_block(raw.get("outputs"))
-
-        if emit["trajectories"] or emit["probe_snapshots"]:
-            if cfg.keep_history is False:
-                raise ConfigError(
-                    "outputs: trajectories/probe_snapshots require cfo.keep_history"
-                )
-            cfg.keep_history = True
-
         cfg.validate(space)
     except BaseException:
         _close(objective)  # an external child must not outlive the config error
@@ -325,6 +300,11 @@ def _write_series(path: Path, series, fmt="%.17g"):
     _write_lines(path, [("%d " + fmt) % (j, v) for j, v in enumerate(series)])
 
 
+def _writes_history(emit: Dict[str, bool], n_dims: int) -> bool:
+    """Do the outputs print per-step positions (snapshots are 2-D only)?"""
+    return emit["trajectories"] or (emit["probe_snapshots"] and n_dims == 2)
+
+
 def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
                     n_dims: int):
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,8 +315,6 @@ def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
     if emit.get("best_probe"):
         _write_series(out_dir / "best_probe.txt", record.best_probe, fmt="%d")
     if emit.get("probe_snapshots") and n_dims == 2:
-        if record.positions_history is None:
-            raise ConfigError("probe_snapshots requested but no history was kept")
         snap_dir = out_dir / "probes"
         for j in range(record.positions_history.shape[0]):
             rows = [
@@ -345,8 +323,6 @@ def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
             ]
             _write_lines(snap_dir / ("step_%04d.txt" % j), rows)
     if emit.get("trajectories"):
-        if record.positions_history is None:
-            raise ConfigError("trajectories requested but no history was kept")
         traj_dir = out_dir / "trajectories"
         n_probes = record.positions_history.shape[1]
         for p in range(n_probes):
@@ -359,29 +335,45 @@ def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
     (out_dir / "record.json").write_text(record.to_json() + "\n", encoding="utf-8")
 
 
-def _summary_rows(records: List[RunRecord], values: List, cfgs: List[CfoConfig],
-                  n_dims: int) -> List[dict]:
-    rows = []
-    for i, (record, value, cfg) in enumerate(zip(records, values, cfgs)):
-        steps = record.saturation_step
-        rows.append(
-            {
-                "run": i + 1,
-                "value": value,
-                "n_steps": cfg.n_steps,
-                "n_dims": n_dims,
-                "n_probes": cfg.n_probes,
-                "g": cfg.g,
-                "delta_t": cfg.delta_t,
-                "alpha": cfg.alpha,
-                "beta": cfg.beta,
-                "steps": steps,
-                "n_eval": (steps + 1) * cfg.n_probes,
-                "frep_final": record.frep[-1],
-                "best_fitness": record.final_best_fitness,
-            }
-        )
-    return rows
+class _Column(NamedTuple):
+    """One column of summary.csv and summary.txt, and its summary-row key."""
+
+    csv: str    # CSV header and row key; PARAM_COLUMN is headed by the sweep label
+    txt: str    # TXT header, right-aligned in `width` characters
+    width: int
+    csv_fmt: str
+    txt_fmt: str
+    value: Callable[[int, object, RunRecord], object]  # (run number, sweep value, record)
+
+
+def _echo(name: str):
+    return lambda run, value, record: record.config[name]
+
+
+PARAM_COLUMN = "value"
+SUMMARY_COLUMNS = (
+    _Column("run", "Run", 5, "%d", "%d", lambda run, value, record: run),
+    _Column(PARAM_COLUMN, PARAM_COLUMN, 13, "%.17g", "%.7g", lambda run, value, record: value),
+    _Column("n_steps", "Nt", 7, "%d", "%d", _echo("n_steps")),
+    _Column("n_dims", "Nd", 4, "%d", "%d", lambda run, value, record: len(record.bounds)),
+    _Column("n_probes", "Np", 5, "%d", "%d", _echo("n_probes")),
+    _Column("g", "G", 8, "%.17g", "%.3f", _echo("g")),
+    _Column("delta_t", "DelT", 8, "%.17g", "%.3f", _echo("delta_t")),
+    _Column("alpha", "Alpha", 8, "%.17g", "%.3f", _echo("alpha")),
+    _Column("beta", "Beta", 8, "%.17g", "%.3f", _echo("beta")),
+    _Column("steps", "Steps", 7, "%d", "%d", lambda run, value, record: record.saturation_step),
+    _Column("n_eval", "Neval", 9, "%d", "%d",
+            lambda run, value, record: record.n_eval[record.saturation_step]),
+    _Column("frep_final", "Frep", 9, "%.17g", "%.4f", lambda run, value, record: record.frep[-1]),
+    _Column("best_fitness", "Fitness", 20, "%.17g", "%.10g",
+            lambda run, value, record: record.final_best_fitness),
+)
+
+
+def _summary_rows(records: List[RunRecord], values: List) -> List[dict]:
+    """One dict per run, keyed by the columns' CSV headers."""
+    return [{c.csv: c.value(i + 1, value, record) for c in SUMMARY_COLUMNS}
+            for i, (record, value) in enumerate(zip(records, values))]
 
 
 def _format_point(point) -> str:
@@ -390,66 +382,37 @@ def _format_point(point) -> str:
 
 def write_summary(out_dir: Path, rows: List[dict], records: List[RunRecord],
                   param_label: str):
-    """Emit summary.csv plus the fixed-width human table summary.txt."""
+    """Emit summary.csv plus the fixed-width human table summary.txt.
+
+    A run without a sweep value (None) gets an empty CSV cell and "-".
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = [
-        "run", param_label, "n_steps", "n_dims", "n_probes", "g", "delta_t",
-        "alpha", "beta", "steps", "n_eval", "frep_final", "best_fitness",
-    ]
+
+    def header(name: str) -> str:
+        return param_label if name == PARAM_COLUMN else name
+
+    def cell(fmt: str, value, empty: str) -> str:
+        return empty if value is None else fmt % value
+
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["run"],
-                    "" if row["value"] is None else "%.17g" % row["value"],
-                    row["n_steps"],
-                    row["n_dims"],
-                    row["n_probes"],
-                    "%.17g" % row["g"],
-                    "%.17g" % row["delta_t"],
-                    "%.17g" % row["alpha"],
-                    "%.17g" % row["beta"],
-                    row["steps"],
-                    row["n_eval"],
-                    "%.17g" % row["frep_final"],
-                    "%.17g" % row["best_fitness"],
-                ]
-            )
-
-    widths = (5, 13, 7, 4, 5, 8, 8, 8, 8, 7, 9, 9, 20)
-    names = ("Run", param_label, "Nt", "Nd", "Np", "G", "DelT", "Alpha",
-             "Beta", "Steps", "Neval", "Frep", "Fitness")
-    lines = ["".join(name.rjust(w) for name, w in zip(names, widths))]
-    for row in rows:
-        value_txt = "-" if row["value"] is None else "%.7g" % row["value"]
-        cells = (
-            "%d" % row["run"],
-            value_txt,
-            "%d" % row["n_steps"],
-            "%d" % row["n_dims"],
-            "%d" % row["n_probes"],
-            "%.3f" % row["g"],
-            "%.3f" % row["delta_t"],
-            "%.3f" % row["alpha"],
-            "%.3f" % row["beta"],
-            "%d" % row["steps"],
-            "%d" % row["n_eval"],
-            "%.4f" % row["frep_final"],
-            "%.10g" % row["best_fitness"],
-        )
-        lines.append("".join(cell.rjust(w) for cell, w in zip(cells, widths)))
+        writer.writerow([header(c.csv) for c in SUMMARY_COLUMNS])
+        writer.writerows([cell(c.csv_fmt, row[c.csv], "") for c in SUMMARY_COLUMNS]
+                         for row in rows)
+    table = [[header(c.txt) for c in SUMMARY_COLUMNS]]
+    table += [[cell(c.txt_fmt, row[c.csv], "-") for c in SUMMARY_COLUMNS] for row in rows]
+    lines = ["".join(text.rjust(c.width) for text, c in zip(line, SUMMARY_COLUMNS))
+             for line in table]
 
     best_i = max(range(len(rows)), key=lambda i: rows[i]["best_fitness"])
     best_row = rows[best_i]
     best_record = records[best_i]
     lines.append("")
-    if best_row["value"] is None:
+    if best_row[PARAM_COLUMN] is None:
         label = "Best run: %d" % best_row["run"]
     else:
         label = "Best run: %d (%s = %.7g)" % (
-            best_row["run"], param_label, best_row["value"],
+            best_row["run"], param_label, best_row[PARAM_COLUMN],
         )
     lines.append(
         "%s  Fitness = %.10g  at %s"
@@ -465,7 +428,7 @@ def write_summary(out_dir: Path, rows: List[dict], records: List[RunRecord],
 # run / sweep execution
 
 
-def _result_line(name: str, record: RunRecord, n_probes: int) -> str:
+def _result_line(name: str, record: RunRecord) -> str:
     steps = record.saturation_step
     return (
         "%s: best %.10g at %s; saturation step %d; n_eval %d; %s"
@@ -474,7 +437,7 @@ def _result_line(name: str, record: RunRecord, n_probes: int) -> str:
             record.final_best_fitness,
             _format_point(record.best_point),
             steps,
-            (steps + 1) * n_probes,
+            record.n_eval[steps],
             record.termination_reason,
         )
     )
@@ -483,15 +446,16 @@ def _result_line(name: str, record: RunRecord, n_probes: int) -> str:
 def run_benchmark(spec: RunSpec, quiet: bool = False) -> RunRecord:
     """Execute a single configured run and write its output files."""
     try:
-        record = run(spec.cfo, spec.space, spec.objective)
+        record = run(spec.cfo, spec.space, spec.objective,
+                     keep_history=_writes_history(spec.emit, spec.space.n_dims))
     finally:
         _close(spec.objective)
     write_run_files(record, spec.out_dir, spec.emit, spec.space.n_dims)
     if spec.emit.get("summary"):
-        rows = _summary_rows([record], [None], [spec.cfo], spec.space.n_dims)
+        rows = _summary_rows([record], [None])
         write_summary(spec.out_dir, rows, [record], "Param")
     if not quiet:
-        print(_result_line(spec.objective_id, record, spec.cfo.n_probes))
+        print(_result_line(spec.objective_id, record))
     return record
 
 
@@ -537,7 +501,8 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
         objective = _fresh_objective(spec.objective_id, spec.objective_options,
                                      noise_seed=value if parameter == "seed" else None)
         try:
-            record = run(cfgs[index], spec.space, objective)
+            record = run(cfgs[index], spec.space, objective,
+                         keep_history=_writes_history(spec.emit, spec.space.n_dims))
         finally:
             _close(objective)
         run_dir = spec.out_dir / ("run_%0*d" % (pad, index + 1))
@@ -553,14 +518,14 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
             # collect strictly in run order so output is deterministic
             records = [f.result() for f in futures]
 
-    rows = _summary_rows(records, values, cfgs, spec.space.n_dims)
+    rows = _summary_rows(records, values)
     param_label = {"gamma": "Gamma", "frep_init": "FrepInit",
                    "n_probes": "Nprobes", "seed": "Seed"}[parameter]
     best_i, total = write_summary(spec.out_dir, rows, records, param_label)
     if not quiet:
-        for value, record, cfg in zip(values, records, cfgs):
+        for value, record in zip(values, records):
             name = "%s[%s=%.7g]" % (spec.objective_id, parameter, value)
-            print(_result_line(name, record, cfg.n_probes))
+            print(_result_line(name, record))
         print(
             "best run %d (%s = %.7g): fitness %.10g at %s"
             % (

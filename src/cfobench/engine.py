@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -24,10 +24,6 @@ from .space import DecisionSpace
 # Distances below this fraction of the space diagonal count as coincident
 # probes and the pair is skipped in the force sum.
 COINCIDENT_REL_TOL = 1e-14
-
-# Full per-step history is retained up to this many steps; longer runs keep
-# only the rolling state plus diagnostic series.
-HISTORY_STEP_LIMIT = 10_000
 
 _SCHEMES = {"on_axis", "off_diagonal", "grid_2d", "custom"}
 
@@ -59,6 +55,9 @@ class CfoConfig:
 
     g=2, delta_t=1, alpha=beta=2, repositioning factor starting at 0.5 and
     stepped by 0.005 whenever the saved-best ring flattens out.
+
+    The field declarations are the config's JSON schema: from_json reads a
+    cfo block by them, and to_dict echoes them into record.json.
     """
 
     n_probes: int
@@ -80,7 +79,16 @@ class CfoConfig:
     fitness_sat_tol: float = 1e-5
     davg_sat_tol: float = 5e-4
     early_termination: bool = False
-    keep_history: Optional[bool] = None
+
+    @classmethod
+    def from_json(cls, block: dict) -> "CfoConfig":
+        """Build a config from a parsed JSON cfo block, checking each value
+        against its field's declared type."""
+        unknown = sorted(set(block) - set(_FIELD_TYPES))
+        if unknown:
+            raise ConfigError(f"cfo: unknown field(s) {unknown}")
+        return cls(**{name: _read_json(name, _FIELD_TYPES[name], value)
+                      for name, value in block.items()})
 
     def validate(self, space: Optional[DecisionSpace] = None) -> None:
         if int(self.n_probes) < 2:
@@ -133,30 +141,37 @@ class CfoConfig:
                 raise ConfigError("initial_probes: a custom point lies outside the bounds")
 
     def to_dict(self) -> dict:
-        d = {
-            "n_probes": int(self.n_probes),
-            "n_steps": int(self.n_steps),
-            "g": float(self.g),
-            "delta_t": float(self.delta_t),
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "init_scheme": _canon_scheme(self.init_scheme),
-            "gamma": float(self.gamma),
-            "frep_init": float(self.frep_init),
-            "frep_increment": float(self.frep_increment),
-            "fit_tol": float(self.fit_tol),
-            "n_saved": int(self.n_saved),
-            "n_sat": int(self.n_sat),
-            "n_avg_steps": int(self.n_avg_steps),
-            "fitness_sat_tol": float(self.fitness_sat_tol),
-            "davg_sat_tol": float(self.davg_sat_tol),
-            "early_termination": bool(self.early_termination),
-        }
-        if self.initial_probes is not None:
-            d["initial_probes"] = np.asarray(self.initial_probes, dtype=float).tolist()
-        if self.initial_acceleration is not None:
-            d["initial_acceleration"] = np.asarray(self.initial_acceleration, dtype=float).tolist()
+        """Every field that has a value, cast to its declared type."""
+        d = {name: _ECHO[kind](getattr(self, name))
+             for name, kind in _FIELD_TYPES.items() if getattr(self, name) is not None}
+        d["init_scheme"] = _canon_scheme(self.init_scheme)
         return d
+
+
+_FIELD_TYPES = get_type_hints(CfoConfig)
+_ECHO = {int: int, float: float, bool: bool, str: str,
+         Optional[np.ndarray]: lambda a: np.asarray(a, dtype=float).tolist()}
+_JSON_NAMES = {bool: "boolean", str: "string"}
+
+
+def _read_json(name: str, kind, value):
+    """One cfo block value as its field's declared type, or a ConfigError."""
+    if kind == Optional[np.ndarray]:
+        if value is None:
+            return None
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cfo.{name}: not a numeric array ({exc})") from None
+    if kind in _JSON_NAMES:
+        if not isinstance(value, kind):
+            raise ConfigError(f"cfo.{name}: must be a {_JSON_NAMES[kind]}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"cfo.{name}: must be a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"cfo.{name}: must be an integer")
+    return kind(value)
 
 
 @dataclass
@@ -243,20 +258,24 @@ def compute_accelerations(
     fitness: np.ndarray,
     cfg: CfoConfig,
     space: Optional[DecisionSpace] = None,
+    work: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pairwise gravitational update, vectorized over all probe pairs.
 
     a_p = g * sum_k mass(m_k, m_p) * (r_k - r_p) / |r_k - r_p|^beta.
     Coincident pairs are skipped (zero contribution): exactly-zero distance
     always, and distances below 1e-14 of the space diagonal when the space
-    is supplied.
+    is supplied. work, an (n_p, n_p, n_d) float array, receives the pair
+    differences; run() passes one for all steps, because glibc returned a
+    fresh per-step array to the system on every step and faulted it in again
+    (about 1,600 page faults a step at 120 probes in 30 dimensions).
     """
     pos = np.asarray(positions, dtype=float)
     fit = np.asarray(fitness, dtype=float)
     if not np.isfinite(fit).all():
         raise EngineError("non-finite fitness passed to acceleration update")
     n_p = pos.shape[0]
-    diff = pos[None, :, :] - pos[:, None, :]          # [p, k, :] = r_k - r_p
+    diff = np.subtract(pos[None, :, :], pos[:, None, :], out=work)  # [p, k, :] = r_k - r_p
     dist = np.sqrt(np.sum(diff * diff, axis=2))       # [p, k]
     gap = np.maximum(fit[None, :] - fit[:, None], 0.0)
     mass = gap ** float(cfg.alpha)
@@ -485,7 +504,8 @@ def _coerce_initial_acceleration(cfg: CfoConfig, n_p: int, n_d: int) -> np.ndarr
     )
 
 
-def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
+def run(cfg: CfoConfig, space: DecisionSpace, objective,
+        keep_history: bool = False) -> RunRecord:
     """Execute one optimization run and return its record.
 
     Per step: advance positions, retrieve escapees, evaluate all probes in
@@ -493,7 +513,8 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
     bookkeeping and the saved-best ring, update the repositioning factor,
     compute the next accelerations, then record diagnostics. Runs to
     n_steps, or stops at the first fitness saturation when
-    early_termination is on.
+    early_termination is on. keep_history also keeps every step's fitnesses
+    and positions in the record (in memory only).
     """
     cfg.validate(space)
     n_p, n_d = int(cfg.n_probes), space.n_dims
@@ -516,11 +537,8 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
             )
         return values
 
-    keep_history = cfg.keep_history
-    if keep_history is None:
-        keep_history = cfg.n_steps <= HISTORY_STEP_LIMIT
-
     positions = init_probes(cfg.init_scheme, space, cfg)
+    work = np.empty((n_p, n_p, n_d))
     accelerations = _coerce_initial_acceleration(cfg, n_p, n_d)
     fitness = evaluate_all(positions, 0)
 
@@ -576,7 +594,7 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective) -> RunRecord:
             state.saved_best[saved_slot_index(j, cfg.n_saved) - 1] = state.best_fitness_so_far
         state.frep_current = update_frep(state, cfg)
         state.accelerations = compute_accelerations(state.positions, state.fitness,
-                                                    cfg, space)
+                                                    cfg, space, work)
 
         cum_best.append(state.best_fitness_so_far)
         step_best.append(float(state.fitness.max()))

@@ -332,14 +332,17 @@ def get_objective(obj_id: str, /, **options) -> Objective:
     if noise_opt and not (isinstance(noise_opt, dict) and "seed" in noise_opt
                           and set(noise_opt) <= {"seed", "sigma", "mu"}):
         raise ObjectiveError(f"{key}: noise must be an object with a seed and optional sigma, mu")
+    if noise_opt:
+        noise = {"sigma": 0.4472, "mu": 0.0, **noise_opt}
+        if isinstance(noise["seed"], bool) or not isinstance(noise["seed"], int):
+            raise ObjectiveError(f"{key}: noise.seed must be an integer")
+        for name in ("sigma", "mu"):
+            if isinstance(noise[name], bool) or not isinstance(noise[name], (int, float)):
+                raise ObjectiveError(f"{key}: noise.{name} must be a number")
     obj = factory(key, **options)
     if noise_opt:
-        obj = with_noise(
-            obj,
-            sigma=float(noise_opt.get("sigma", 0.4472)),
-            seed=int(noise_opt["seed"]),
-            mu=float(noise_opt.get("mu", 0.0)),
-        )
+        obj = with_noise(obj, sigma=float(noise["sigma"]), seed=noise["seed"],
+                         mu=float(noise["mu"]))
     return obj
 
 

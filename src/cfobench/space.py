@@ -46,19 +46,13 @@ class DecisionSpace:
         return int(self.lower.size)
 
     @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
     def diag_length(self) -> float:
         return self._diag
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         """True when every coordinate of every row lies inside the box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(
-            (pts >= self.lower - atol).all() and (pts <= self.upper + atol).all()
-        )
+        return bool((pts >= self.lower).all() and (pts <= self.upper).all())
 
     def bounds_list(self) -> list[tuple[float, float]]:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lower, self.upper)]

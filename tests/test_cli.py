@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from cfobench import cli
 from cfobench.cli import default_probe_count, load_config, main, oracle_command, sweep_runs
-from cfobench.engine import ConfigError
+from cfobench.engine import CfoConfig, ConfigError
 from cfobench.external import ProtocolError
 from cfobench.objectives import get_objective, list_objectives
 
@@ -123,13 +124,6 @@ def test_trajectory_outputs(tmp_path):
     snaps = sorted((out / "probes").glob("step_*.txt"))
     assert len(snaps) == 26
     assert len(snaps[0].read_text().splitlines()) == 6
-
-
-def test_trajectories_conflict_with_disabled_history(tmp_path):
-    doc = dict(BASE_RUN, outputs={"dir": str(tmp_path / "out"), "trajectories": True})
-    doc["cfo"] = dict(doc["cfo"], keep_history=False)
-    cfg = write_config(tmp_path, doc)
-    assert main(["run", "--config", cfg, "--quiet"]) == 2
 
 
 def test_config_validation_exit_codes(tmp_path, capsys):
@@ -354,11 +348,45 @@ def test_cfo_block_rejects_unknown_and_mistyped_fields(tmp_path):
         load_config(write_config(tmp_path, bad_bool, "b.json"))
 
 
+def test_cfo_keys_are_the_record_config_keys(tmp_path):
+    # every field a cfo block accepts is echoed in record.json, and the echo
+    # is itself a cfo block that reproduces the record
+    cfo = dict(BASE_RUN["cfo"], init_scheme="custom", initial_acceleration=[0.25, -0.5],
+               initial_probes=[[x, -x] for x in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5)])
+    records = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        doc = dict(BASE_RUN, cfo=cfo, outputs={"dir": str(out)})
+        assert main(["run", "--config", write_config(tmp_path, doc, name + ".json"), "--quiet"]) == 0
+        records.append((out / "record.json").read_bytes())
+        cfo = json.loads(records[-1])["config"]
+    assert set(cfo) == {f.name for f in dataclasses.fields(CfoConfig)}
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("blocks", [
+    '"objective": "gp", "cfo": {"n_probes": 6, "n_steps": 25, "g": NaN}',
+    '"objective": "gp", "cfo": {"n_probes": 6, "n_steps": 25, "g": 1e400}',
+    '"objective": "gp", "cfo": {"n_probes": 6, "n_steps": Infinity}',
+    '"objective": "gp", "cfo": {"n_probes": 6, "n_steps": 25, "alpha": -1%s}' % ("0" * 400),
+    '"objective": "gp", "bounds": [[-2, 2], [-Infinity, 2]]',
+    '"objective": {"id": "gp", "options": {"noise": {"seed": 1}}}, '
+    '"sweep": {"parameter": "seed", "start": Infinity, "stop": 4, "count": 4}',
+], ids=["g_nan", "g_1e400", "n_steps_infinity", "alpha_integer_overflow", "bounds_infinity",
+        "seed_sweep_infinity"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, blocks):
+    path = tmp_path / "config.json"
+    path.write_text("{%s}" % blocks, encoding="utf-8")
+    assert main(["sweep" if "sweep" in blocks else "run", "--config", str(path)]) == 2
+    assert "numbers must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [
     ("shrink_interval", 5),
     ("perturb_on_oscillation", True),
     ("perturbation_sigma", 0.1),
     ("mitigation_seed", 3),
+    ("keep_history", False),
 ])
 def test_removed_cfo_options_are_unknown_fields(tmp_path, capsys, key, value):
     doc = dict(BASE_RUN, cfo=dict(BASE_RUN["cfo"], **{key: value}))
@@ -392,6 +420,11 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
     ({"id": "step", "options": {"n_dims": -1}}, [], "step: n_dims must be an integer >= 1"),
     ({"id": "step", "options": {"n_dims": 2.5}}, [], "step: n_dims must be an integer >= 1"),
     ({"id": "step", "options": {"n_dims": "3"}}, [], "step: n_dims must be an integer >= 1"),
+    ({"id": "gp", "options": {"noise": {"seed": True}}}, [], "gp: noise.seed must be an integer"),
+    ({"id": "gp", "options": {"noise": {"seed": 1.7}}}, [], "gp: noise.seed must be an integer"),
+    ({"id": "gp", "options": {"noise": {"seed": 1, "sigma": "wide"}}}, [],
+     "gp: noise.sigma must be a number"),
+    ({"id": "gp", "options": {"noise": {"seed": 1, "mu": None}}}, [], "gp: noise.mu must be a number"),
 ])
 def test_bad_objective_options_exit_2(tmp_path, capsys, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)

@@ -41,9 +41,9 @@ def test_engine_invariants(func_id, per_axis, n_steps, gamma, g, frep_init,
     cfg = CfoConfig(
         n_probes=per_axis * space.n_dims, n_steps=n_steps, gamma=gamma, g=g,
         frep_init=frep_init, frep_increment=frep_increment,
-        n_avg_steps=5, early_termination=early_termination, keep_history=True,
+        n_avg_steps=5, early_termination=early_termination,
     )
-    record = run(cfg, space, counting)
+    record = run(cfg, space, counting, keep_history=True)
 
     for step, positions in enumerate(record.positions_history):
         assert space.contains(positions), f"probe outside the box at step {step}"

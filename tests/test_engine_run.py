@@ -25,8 +25,7 @@ def test_run_is_deterministic_to_the_byte():
 
 def test_probes_stay_inside_bounds():
     cfg = CfoConfig(n_probes=6, n_steps=60, g=5.0)
-    rec = run(cfg, UNIT_BOX, quad_objective)
-    assert rec.positions_history is not None
+    rec = run(cfg, UNIT_BOX, quad_objective, keep_history=True)
     for step in range(rec.positions_history.shape[0]):
         assert UNIT_BOX.contains(rec.positions_history[step]), f"step {step}"
 
@@ -34,7 +33,7 @@ def test_probes_stay_inside_bounds():
 def test_zero_initial_acceleration_plateau():
     # nothing moves between step 0 and step 1 when accelerations start at 0
     cfg = CfoConfig(n_probes=4, n_steps=3)
-    rec = run(cfg, UNIT_BOX, quad_objective)
+    rec = run(cfg, UNIT_BOX, quad_objective, keep_history=True)
     assert np.array_equal(rec.positions_history[0], rec.positions_history[1])
     assert rec.step_best_fitness[0] == rec.step_best_fitness[1]
     assert rec.d_avg[0] == rec.d_avg[1]
@@ -42,7 +41,7 @@ def test_zero_initial_acceleration_plateau():
 
 def test_configured_initial_acceleration_moves_probes():
     cfg = CfoConfig(n_probes=4, n_steps=2, initial_acceleration=np.array([0.5, 0.0]))
-    rec = run(cfg, UNIT_BOX, quad_objective)
+    rec = run(cfg, UNIT_BOX, quad_objective, keep_history=True)
     assert not np.array_equal(rec.positions_history[0], rec.positions_history[1])
 
 
@@ -95,7 +94,7 @@ def test_best_fitness_agrees_with_the_run_on_plateaus():
     # best-so-far rule must resolve them the same way
     obj = get_objective("step")
     cfg = CfoConfig(n_probes=8, n_steps=300, gamma=0.3)
-    rec = run(cfg, obj.bounds, obj)
+    rec = run(cfg, obj.bounds, obj, keep_history=True)
     assert best_fitness(rec.fitness_history, rec.steps_executed) == (
         rec.final_best_fitness, rec.final_best_probe, rec.final_best_step)
 
@@ -118,10 +117,13 @@ def test_record_serialization_schema():
     assert "fitness_history" not in doc and "positions_history" not in doc
 
 
-def test_history_suppressed_for_long_runs():
-    cfg = CfoConfig(n_probes=4, n_steps=4, keep_history=False)
+def test_history_is_kept_only_on_request():
+    cfg = CfoConfig(n_probes=4, n_steps=4)
     rec = run(cfg, UNIT_BOX, quad_objective)
     assert rec.fitness_history is None and rec.positions_history is None
+    kept = run(cfg, UNIT_BOX, quad_objective, keep_history=True)
+    assert kept.fitness_history.shape == (5, 4) and kept.positions_history.shape == (5, 4, 2)
+    assert kept.to_json() == rec.to_json()
 
 
 def test_evaluation_context_is_forwarded():

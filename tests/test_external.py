@@ -163,7 +163,7 @@ def test_requests_carry_the_step_and_probe():
     obj = get_objective("external", command=[sys.executable, "-c", code],
                         bounds=[[-1.0, 1.0], [-1.0, 1.0]])
     try:
-        rec = run(CfoConfig(n_probes=4, n_steps=2), obj.bounds, obj)
+        rec = run(CfoConfig(n_probes=4, n_steps=2), obj.bounds, obj, keep_history=True)
     finally:
         obj.close()
     assert rec.fitness_history.tolist() == [[10 * s + p for p in range(1, 5)] for s in range(3)]

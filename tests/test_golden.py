@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of record.json for seven short runs.
+"""Golden SHA-256 digests of record.json for seven short runs, and of
+summary.csv and summary.txt for one sweep and one single run.
 
 Byte-identical records are guaranteed per platform and numpy build (see the
 README), so the digests are pinned to the build they were taken on and the
@@ -43,6 +44,17 @@ RUNS = {  # name: (objective block, cfo block, record.json SHA-256)
 }
 
 
+SUMMARIES = {  # name: (command, config blocks, summary.csv SHA-256, summary.txt SHA-256)
+    "sweep_gamma": ("sweep", {"objective": "sgo", "cfo": {"n_probes": 6, "n_steps": 40},
+                              "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 3}},
+                    "d3c1fda2efbc6f7bab917bc6e89ee849fb1f71b779aefe79f672443d95082ef6",
+                    "02154c0c38ec49b308bde588b2b054535b7d5ed5b0cdcaaf3ec5e04cf5f4f20a"),
+    "run_param": ("run", {"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 100, "gamma": 0.4}},
+                  "b23d9b7749541453420e59d0f4560cda1ca7e1ad9002bb13e3eddaf2714dfeca",
+                  "8ead10406bbaa0ceb7f28a49640519fee87541956ef0867096aec3ae1f56c3d4"),
+}
+
+
 def _this_build() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine()}
@@ -62,3 +74,16 @@ def test_record_digest(tmp_path, name):
         pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
     objective, cfo, digest = RUNS[name]
     assert record_digest(tmp_path, objective, cfo) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_summary_digests(tmp_path, name):
+    if _this_build() != BUILD:
+        pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
+    command, blocks, csv_digest, txt_digest = SUMMARIES[name]
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(blocks, outputs={"dir": str(out)})))
+    assert main([command, "--config", str(config), "--quiet"]) == 0
+    assert [hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("summary.csv", "summary.txt")] == [csv_digest, txt_digest]

@@ -10,7 +10,6 @@ def test_from_bounds_roundtrip():
     space = DecisionSpace.from_bounds([(0.0, 3.0), (-1.0, 4.0)])
     assert space.n_dims == 2
     assert space.bounds_list() == [(0.0, 3.0), (-1.0, 4.0)]
-    assert np.array_equal(space.widths, [3.0, 5.0])
 
 
 def test_diagonal_length():
@@ -23,7 +22,6 @@ def test_contains_is_inclusive():
     assert space.contains(np.array([[0.0, 1.0]]))
     assert space.contains(np.array([[0.5, 0.5], [1.0, 0.0]]))
     assert not space.contains(np.array([[0.5, 1.0 + 1e-12]]))
-    assert space.contains(np.array([[0.5, 1.0 + 1e-12]]), atol=1e-9)
     # single point without the row dimension is accepted too
     assert space.contains(np.array([0.25, 0.75]))
 
