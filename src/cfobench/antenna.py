@@ -7,6 +7,13 @@ stand in for a full-wave solver: they reproduce the landscape structure of
 the benchmark suite while ignoring mutual coupling between elements, which
 is why the acceptance targets carry 5-10% tolerances.
 
+An ArraySpec is three arrays: element positions, complex excitations and
+the common element axis; every element is a half-wave dipole. The three
+builders below produce distinct positions, unit excitations and a unit
+axis by construction. The ring's positions do not depend on its steering
+phase, so a caller can build the ring once and make only each row's
+excitations with ring_excitations.
+
 Every power integral is the same midpoint sum on the nodes and weights of
 sphere_mesh. radiated_power sums all nodes unless the caller hands it an
 exact cheaper form of that sum: axisymmetric_power for patterns that do not
@@ -14,7 +21,9 @@ depend on phi (one node per theta row, folded in numpy's own pairwise
 summation order, so the result is the full sum's bits), octant_power for
 patterns even under the three coordinate reflections (1/8 of the nodes), or
 CouplingMatrix.power for a fixed planar array whose excitations vary
-(Re(e^H K e), an N x N product once K is built).
+(Re(e^H K e), an N x N product once K is built). radiated_power calls the
+form only on a power-cache miss, so a form that builds its pattern when
+called builds it only then.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
 spacings that broadcast with theta, so a batch of steering amplitudes is
@@ -35,6 +44,7 @@ _SIN_EPS = 1e-12
 
 DEFAULT_N_THETA = 256
 DEFAULT_N_PHI = 512
+ELEMENT_LENGTH = 0.5  # wavelengths; every array element is a half-wave dipole
 
 
 class DegeneratePatternError(ValueError):
@@ -66,36 +76,12 @@ def dipole_pattern(length, theta):
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """Geometry and excitation of one benchmark array.
+    """Geometry and excitation of one benchmark array: positions (n, 3) in
+    wavelengths, excitations (n,) complex, and the common element axis (3,)."""
 
-    Positions are 3-vectors in wavelengths, axis is the common element
-    orientation, excitations are unit-amplitude complex weights.
-    """
-
-    n_elements: int
-    positions: tuple
-    axis: tuple
-    excitations: tuple
-    element_length: float = 0.5
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.shape != (self.n_elements, 3):
-            raise ValueError("positions must be one 3-vector per element")
-        if self.n_elements > 1:
-            diffs = pos[None, :, :] - pos[:, None, :]
-            dist = np.sqrt((diffs ** 2).sum(axis=2))
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() <= 0.0:
-                raise ValueError("element positions must be distinct")
-        exc = np.asarray(self.excitations, dtype=complex)
-        if exc.shape != (self.n_elements,):
-            raise ValueError("one excitation per element required")
-        if np.max(np.abs(np.abs(exc) - 1.0)) > 1e-9:
-            raise ValueError("excitation amplitudes must be 1")
-        ax = np.asarray(self.axis, dtype=float)
-        if abs(float(np.sqrt((ax ** 2).sum())) - 1.0) > 1e-9:
-            raise ValueError("element axis must be a unit vector")
+    positions: np.ndarray
+    excitations: np.ndarray
+    axis: np.ndarray
 
 
 def array_pattern(spec: ArraySpec) -> Callable:
@@ -105,10 +91,7 @@ def array_pattern(spec: ArraySpec) -> Callable:
     arrays: element factor about the common axis times |sum of excitations
     with spatial phase|.
     """
-    pos = np.asarray(spec.positions, dtype=float)
-    exc = np.asarray(spec.excitations, dtype=complex)
-    ax = np.asarray(spec.axis, dtype=float)
-    length = spec.element_length
+    pos, exc, ax = spec.positions, spec.excitations, spec.axis
 
     def pattern(theta, phi):
         th = np.asarray(theta, dtype=float)
@@ -118,9 +101,9 @@ def array_pattern(spec: ArraySpec) -> Callable:
         ry = st * np.sin(ph)
         rz = ct
         cos_psi = rx * ax[0] + ry * ax[1] + rz * ax[2]
-        elem = _element_factor(length, cos_psi)
+        elem = _element_factor(ELEMENT_LENGTH, cos_psi)
         af = np.zeros(np.broadcast(rx, rz).shape, dtype=complex)
-        for n in range(spec.n_elements):
+        for n in range(len(pos)):
             phase = TWO_PI * (rx * pos[n, 0] + ry * pos[n, 1] + rz * pos[n, 2])
             af += exc[n] * np.exp(1j * phase)
         out = np.abs(af) * elem
@@ -135,28 +118,22 @@ def array_pattern(spec: ArraySpec) -> Callable:
 
 def linear_array_spec(d: float, n_elements: int = 10) -> ArraySpec:
     """Uniform in-phase line of z-dipoles along x, spacing d wavelengths."""
-    centre = 0.5 * (n_elements + 1)
-    positions = tuple(((m - centre) * d, 0.0, 0.0) for m in range(1, n_elements + 1))
-    return ArraySpec(
-        n_elements=n_elements,
-        positions=positions,
-        axis=(0.0, 0.0, 1.0),
-        excitations=tuple(1.0 + 0.0j for _ in range(n_elements)),
-    )
+    positions = np.zeros((n_elements, 3))
+    positions[:, 0] = (np.arange(1, n_elements + 1) - 0.5 * (n_elements + 1)) * d
+    return ArraySpec(positions, np.ones(n_elements, dtype=complex), np.array([0.0, 0.0, 1.0]))
+
+
+def ring_excitations(beta: float, n_elements: int = 8) -> np.ndarray:
+    """The ring's cosine phase law: unit weights of phase alpha_n = -cos(2 pi beta (n-1))."""
+    alphas = [-math.cos(TWO_PI * beta * (n - 1)) for n in range(1, n_elements + 1)]
+    return np.array([complex(math.cos(a), math.sin(a)) for a in alphas])
 
 
 def circular_array_spec(beta: float, n_elements: int = 8, radius: float = 1.0) -> ArraySpec:
-    """Ring of z-dipoles with the cosine phase law alpha_n = -cos(2 pi beta (n-1))."""
+    """Ring of z-dipoles in the z=0 plane, excited by ring_excitations(beta)."""
     ang = [TWO_PI * (n - 1) / n_elements for n in range(1, n_elements + 1)]
-    positions = tuple((radius * math.cos(a), radius * math.sin(a), 0.0) for a in ang)
-    alphas = [-math.cos(TWO_PI * beta * (n - 1)) for n in range(1, n_elements + 1)]
-    excitations = tuple(complex(math.cos(a), math.sin(a)) for a in alphas)
-    return ArraySpec(
-        n_elements=n_elements,
-        positions=positions,
-        axis=(0.0, 0.0, 1.0),
-        excitations=excitations,
-    )
+    positions = np.array([(radius * math.cos(a), radius * math.sin(a), 0.0) for a in ang])
+    return ArraySpec(positions, ring_excitations(beta, n_elements), np.array([0.0, 0.0, 1.0]))
 
 
 def collinear_array_spec(spacings) -> ArraySpec:
@@ -170,15 +147,9 @@ def collinear_array_spec(spacings) -> ArraySpec:
     if sp.size and sp.min() < 0.5:
         raise ValueError("element spacing below 0.5 wavelength overlaps the dipoles")
     y = np.concatenate(([0.0], np.cumsum(sp)))
-    y = y - y.mean()
-    positions = tuple((0.0, float(v), 0.0) for v in y)
-    n = len(positions)
-    return ArraySpec(
-        n_elements=n,
-        positions=positions,
-        axis=(0.0, 1.0, 0.0),
-        excitations=tuple(1.0 + 0.0j for _ in range(n)),
-    )
+    positions = np.zeros((len(y), 3))
+    positions[:, 1] = y - y.mean()
+    return ArraySpec(positions, np.ones(len(y), dtype=complex), np.array([0.0, 1.0, 0.0]))
 
 
 def uniform_line_pattern(d: float, n_elements: int = 10) -> Callable:
@@ -204,7 +175,7 @@ def uniform_line_field(d, n_elements: int, theta, phi):
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
     st, ct = np.sin(th), np.cos(th)
-    elem = _element_factor(0.5, ct)
+    elem = _element_factor(ELEMENT_LENGTH, ct)
     half = math.pi * d * (st * np.cos(ph))
     denom = np.sin(half)
     safe = np.where(np.abs(denom) < 1e-9, 1.0, denom)
@@ -222,7 +193,14 @@ _POWER_CACHE_LIMIT = 1 << 18
 _PW_BLOCK = 128  # leaf size of numpy's pairwise summation
 
 
-def _mesh(n_theta: int, n_phi: int):
+def sphere_mesh(n_theta: int = DEFAULT_N_THETA, n_phi: int = DEFAULT_N_PHI):
+    """Midpoint quadrature nodes used by radiated_power.
+
+    Returns (theta column (n_theta, 1), phi row (1, n_phi), sin(theta)
+    column); broadcasting the first two against each other spans the
+    sphere. Exposed so callers can integrate their own mesh quantities
+    with exactly the nodes the power integral uses.
+    """
     key = (n_theta, n_phi)
     got = _MESH_CACHE.get(key)
     if got is None:
@@ -233,20 +211,9 @@ def _mesh(n_theta: int, n_phi: int):
     return got
 
 
-def sphere_mesh(n_theta: int = DEFAULT_N_THETA, n_phi: int = DEFAULT_N_PHI):
-    """Midpoint quadrature nodes used by radiated_power.
-
-    Returns (theta column (n_theta, 1), phi row (1, n_phi), sin(theta)
-    column); broadcasting the first two against each other spans the
-    sphere. Exposed so callers can integrate their own mesh quantities
-    with exactly the nodes the power integral uses.
-    """
-    return _mesh(n_theta, n_phi)
-
-
 def _midpoint_sum(pattern: Callable, n_theta: int, n_phi: int, rows: int, cols: int) -> float:
     """Midpoint-rule sum of |F|^2 sin(theta) over the first rows x cols nodes."""
-    th, ph, sin_th = _mesh(n_theta, n_phi)
+    th, ph, sin_th = sphere_mesh(n_theta, n_phi)
     f = np.asarray(pattern(th[:rows], ph[:, :cols]), dtype=float)
     f = np.broadcast_to(f, (rows, cols))
     return float(np.sum(f * f * sin_th[:rows]) * (math.pi / n_theta) * (TWO_PI / n_phi))
@@ -271,7 +238,7 @@ def axisymmetric_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
             f"the phi fold needs n_phi divisible by {_PW_BLOCK} and a power-of-two "
             f"number of {_PW_BLOCK}-node blocks, got {n_theta} x {n_phi}"
         )
-    th, ph, sin_th = _mesh(n_theta, n_phi)
+    th, ph, sin_th = sphere_mesh(n_theta, n_phi)
     f = np.broadcast_to(np.asarray(pattern(th, ph[:, :1]), dtype=float), (n_theta, 1))
     v = (f * f * sin_th).ravel()
     acc = v
@@ -320,8 +287,7 @@ class CouplingMatrix:
     _ROWS = 16
 
     def __init__(self, spec: ArraySpec):
-        pos = np.asarray(spec.positions, dtype=float)
-        ax = np.asarray(spec.axis, dtype=float)
+        pos, ax = spec.positions, spec.axis
         if np.any(pos[:, 2] != 0.0) or (ax[2] != 0.0 and np.any(ax[:2] != 0.0)):
             raise ValueError(
                 "coupling matrix: the array must lie in the z=0 plane with "
@@ -329,20 +295,19 @@ class CouplingMatrix:
             )
         self._pos = pos
         self._axis = ax
-        self._length = spec.element_length
         self._k = {}
 
     def _build(self, n_theta: int, n_phi: int) -> np.ndarray:
         if n_theta % 2:
             raise ValueError(f"the theta fold needs an even n_theta, got {n_theta}")
-        th, ph, sin_th = _mesh(n_theta, n_phi)
+        th, ph, sin_th = sphere_mesh(n_theta, n_phi)
         ax, pos = self._axis, self._pos
         k = np.zeros((len(pos), len(pos)), dtype=complex)
         for start in range(0, n_theta // 2, self._ROWS):
             rows = slice(start, min(start + self._ROWS, n_theta // 2))
             st = sin_th[rows]
             rx, ry = st * np.cos(ph), st * np.sin(ph)
-            elem = _element_factor(self._length, rx * ax[0] + ry * ax[1] + np.cos(th[rows]) * ax[2])
+            elem = _element_factor(ELEMENT_LENGTH, rx * ax[0] + ry * ax[1] + np.cos(th[rows]) * ax[2])
             w = elem * elem * st
             e = np.exp(1j * TWO_PI * (rx * pos[:, 0, None, None] + ry * pos[:, 1, None, None]))
             for m in range(len(pos)):
@@ -354,14 +319,11 @@ class CouplingMatrix:
         k = self._k.get((n_theta, n_phi))
         if k is None:
             k = self._k[(n_theta, n_phi)] = self._build(n_theta, n_phi)
-        e = np.asarray(excitations, dtype=complex)
-        if e.shape != (len(self._pos),):
-            raise ValueError("one excitation per element required")
-        return float(np.sum(np.real(np.conj(e)[:, None] * k * e[None, :])))
+        return float(np.sum(np.real(np.conj(excitations)[:, None] * k * excitations[None, :])))
 
 
 def radiated_power(
-    pattern: Callable,
+    pattern: Optional[Callable],
     n_theta: int = DEFAULT_N_THETA,
     n_phi: int = DEFAULT_N_PHI,
     power_key=None,
@@ -369,12 +331,12 @@ def radiated_power(
 ) -> float:
     """Integral of |F|^2 sin(theta) over the sphere, fixed midpoint rule.
 
-    power_key, when given, memoizes the result for repeated directivity
-    calls on the same geometry; the key must determine the pattern.
-    mesh_sum, when given, is a callable (n_theta, n_phi) -> power that
-    evaluates the same sum on the same nodes in a cheaper exact form
-    (axisymmetric_power, octant_power, CouplingMatrix.power); without it
-    every node is summed.
+    power_key, when given, memoizes the result for repeated calls on the
+    same geometry; the key must determine the pattern. mesh_sum, when given,
+    is a callable (n_theta, n_phi) -> power that evaluates the same sum on
+    the same nodes in a cheaper exact form (axisymmetric_power, octant_power,
+    CouplingMatrix.power) and is called only on a cache miss; pattern is then
+    unused and may be None. Without mesh_sum every node of pattern is summed.
     """
     if power_key is not None:
         cached = _POWER_CACHE.get((power_key, n_theta, n_phi))
@@ -401,22 +363,17 @@ def directivity(
     phi0: float,
     n_theta: int = DEFAULT_N_THETA,
     n_phi: int = DEFAULT_N_PHI,
-    power_key=None,
     mesh_sum: Optional[Callable] = None,
 ) -> float:
-    """4 pi |F(theta0, phi0)|^2 over the radiated power.
+    """4 pi |F(theta0, phi0)|^2 over the radiated power, with no power cache.
 
+    The reference the antenna objectives reproduce bit for bit.
     Deterministic by construction: fixed node set, fixed summation order.
     Doubling the resolution moves the result by well under 0.1% for every
     benchmark surrogate at the default 256 x 512 panels.
     """
-    power = radiated_power(pattern, n_theta, n_phi, power_key, mesh_sum)
+    power = radiated_power(pattern, n_theta, n_phi, mesh_sum=mesh_sum)
     if power == 0.0:
         raise DegeneratePatternError("degenerate pattern: no radiated power")
-    amp = steering_amplitude(pattern, theta0, phi0)
+    amp = float(np.abs(pattern(np.float64(theta0), np.float64(phi0))))
     return 4.0 * math.pi * amp * amp / power
-
-
-def steering_amplitude(pattern: Callable, theta0: float, phi0: float) -> float:
-    """|F(theta0, phi0)|, the numerator's amplitude in directivity."""
-    return float(np.abs(pattern(np.float64(theta0), np.float64(phi0))))

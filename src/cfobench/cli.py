@@ -198,11 +198,12 @@ def _parse_outputs_block(raw):
 
 def _with_noise_seed(options: dict, noise_seed: Optional[int]) -> dict:
     """A deep copy of the objective options, with noise.seed set when given
-    (a missing or non-object noise block becomes {"seed": noise_seed})."""
+    (a missing noise block becomes {"seed": noise_seed}; a block that is not
+    an object is left for get_objective to reject)."""
     options = copy.deepcopy(options)
-    if noise_seed is not None:
-        noise = options.get("noise")
-        options["noise"] = dict(noise if isinstance(noise, dict) else {}, seed=int(noise_seed))
+    noise = options.get("noise")
+    if noise_seed is not None and (noise is None or isinstance(noise, dict)):
+        options["noise"] = dict(noise or {}, seed=int(noise_seed))
     return options
 
 
@@ -251,6 +252,13 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
         raise ConfigError("objective: required")
 
     objective_id, options = _parse_objective_block(raw["objective"])
+    sweep = _parse_sweep_block(raw.get("sweep"))
+    noise = options.get("noise")
+    if (seed_override is None and sweep is not None and sweep["parameter"] == "seed"
+            and isinstance(noise, dict) and "seed" not in noise):
+        # a seed sweep gives every run its seed; the spec's own objective,
+        # used by run and oracle, takes the first
+        seed_override = _sweep_values(sweep)[0]
     options = _with_noise_seed(options, seed_override)
     objective = _fresh_objective(objective_id, options)
     try:
@@ -267,7 +275,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
             )
 
         cfg = _parse_cfo_block(raw.get("cfo", {}), space.n_dims)
-        sweep = _parse_sweep_block(raw.get("sweep"))
         conf_dir, emit = _parse_outputs_block(raw.get("outputs"))
         cfg.validate(space)
     except BaseException:

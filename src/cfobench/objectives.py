@@ -9,7 +9,6 @@ form under <id>_shifted.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass, replace
@@ -138,80 +137,78 @@ def _himmelblau_rows(X):
 
 
 # ---------------------------------------------------------------------------
-# antenna surrogate objectives: each id's geometry maps x to the pattern, its
-# power-cache key, the steering angles (theta0, phi0) and the exact cheaper
-# form of the power sum radiated_power should use; an id's steering, when it
-# has one, gives |F(theta0, phi0)| for a whole batch of rows in one array call
+# antenna surrogate objectives: each id is two functions. power(x) gives the
+# row's power-cache key and the exact cheaper form of radiated_power's sum on
+# the same nodes; the form builds its pattern only when called, which
+# radiated_power does only on a cache miss. steering(rows) gives
+# |F(theta0, phi0)| for the whole batch.
 
 
-def _pbm1_geometry(x):
+def _folded(fold, pattern, *args):
+    """The power form fold(pattern(*args), n_theta, n_phi)."""
+    return lambda n_theta, n_phi: fold(pattern(*args), n_theta, n_phi)
+
+
+def _dipole(length):
+    return lambda th, _ph: antenna.dipole_pattern(length, th)
+
+
+def _pbm1_power(x):
     # the dipole's |F| does not depend on phi
-    length, theta = float(x[0]), float(x[1])
-
-    def pattern(th, _ph):
-        return antenna.dipole_pattern(length, th)
-
-    return (pattern, ("pbm1", length), theta, 0.0,
-            functools.partial(antenna.axisymmetric_power, pattern))
+    length = float(x[0])
+    return ("pbm1", length), _folded(antenna.axisymmetric_power, _dipole, length)
 
 
 def _pbm1_steering(rows):
     return antenna.dipole_pattern(rows[:, 0], rows[:, 1])
 
 
-def _pbm2_geometry(x):
+def _pbm2_power(x):
     # |F| depends on cos(theta) and sin(theta) cos(phi) only, through even functions
-    d, theta = float(x[0]), float(x[1])
-    pattern = antenna.uniform_line_pattern(d, 10)
-    return (pattern, ("pbm2", 10, d), theta, math.pi / 2,
-            functools.partial(antenna.octant_power, pattern))
+    d = float(x[0])
+    return ("pbm2", 10, d), _folded(antenna.octant_power, antenna.uniform_line_pattern, d, 10)
 
 
 def _pbm2_steering(rows):
     return antenna.uniform_line_field(rows[:, 0], 10, rows[:, 1], math.pi / 2)
 
 
-def _pbm3_geometry(ring, x):
-    beta, theta = float(x[0]), float(x[1])
-    spec = antenna.circular_array_spec(beta)
-    return (antenna.array_pattern(spec), ("pbm3", beta), theta, 0.0,
-            functools.partial(ring.power, spec.excitations))
+def _collinear_pattern(spacings):
+    return antenna.array_pattern(antenna.collinear_array_spec(spacings))
 
 
-def _pbm5_geometry(x):
+def _pbm5_power(x):
     # in-phase y-dipoles on the y axis: |F| depends on sin(theta) sin(phi) only,
     # and is even in it because the excitations are real
-    spacings = np.asarray(x, dtype=float)
-    key = ("pbm5",) + tuple(float(v) for v in spacings)
-    pattern = antenna.array_pattern(antenna.collinear_array_spec(spacings))
-    return pattern, key, math.pi / 2, 0.0, functools.partial(antenna.octant_power, pattern)
+    key = ("pbm5",) + tuple(float(v) for v in x)
+    return key, _folded(antenna.octant_power, _collinear_pattern, x)
 
 
-def _antenna_factory(geometry, bounds, steering=None):
+def _pbm5_steering(rows):
+    # one scalar pattern call per row, broadside at theta = pi/2, phi = 0
+    return np.array([_collinear_pattern(x)(np.float64(math.pi / 2), np.float64(0.0)) for x in rows])
+
+
+def _antenna_factory(power, steering, bounds):
     """Directivity per row, with the bits of antenna.directivity: each row's
     power goes through radiated_power with its power key (a cache hit on a
-    repeat), and the steering amplitude is computed per row as directivity
-    does, or for the whole batch by steering(rows) when the id has one."""
+    repeat), then steering(rows) gives the batch's amplitudes."""
 
     def factory(obj_id):
         def evaluate_batch(rows, step=0):
             rows = np.asarray(rows, dtype=float)
-            power = np.empty(len(rows))
-            amp = np.empty(len(rows))
+            total = np.empty(len(rows))
             for i, x in enumerate(rows):
                 try:
-                    pattern, key, theta0, phi0, mesh_sum = geometry(x)
-                    power[i] = antenna.radiated_power(pattern, power_key=key, mesh_sum=mesh_sum)
-                    if power[i] == 0.0:
+                    key, mesh_sum = power(x)
+                    total[i] = antenna.radiated_power(None, power_key=key, mesh_sum=mesh_sum)
+                    if total[i] == 0.0:
                         raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
-                    if steering is None:
-                        amp[i] = antenna.steering_amplitude(pattern, theta0, phi0)
                 except Exception as exc:
                     exc.failed_row = i + 1
                     raise
-            if steering is not None:
-                amp = np.abs(steering(rows))
-            return 4.0 * math.pi * amp * amp / power
+            amp = np.abs(steering(rows))
+            return 4.0 * math.pi * amp * amp / total
 
         space = DecisionSpace.from_bounds(bounds)
         return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
@@ -221,17 +218,32 @@ def _antenna_factory(geometry, bounds, steering=None):
 
 
 def _make_pbm3(obj_id) -> Objective:
-    # the ring's positions do not depend on beta, so one coupling matrix serves
-    # every evaluation; it is built on the first one, not here
-    ring = antenna.CouplingMatrix(antenna.circular_array_spec(0.0))
-    return _antenna_factory(functools.partial(_pbm3_geometry, ring),
-                            [(0.0, 4.0), (0.0, math.pi)])(obj_id)
+    # the ring's positions do not depend on beta: one spec and one coupling
+    # matrix (built on the first miss) serve every row, which makes only its
+    # excitations
+    ring = antenna.circular_array_spec(0.0)
+    coupling = antenna.CouplingMatrix(ring)
+
+    def power(x):
+        beta = float(x[0])
+        return ("pbm3", beta), lambda n_theta, n_phi: coupling.power(
+            antenna.ring_excitations(beta), n_theta, n_phi)
+
+    def steering(rows):
+        # one scalar pattern call per row, at theta = x[1], phi = 0
+        amp = np.empty(len(rows))
+        for i, x in enumerate(rows):
+            spec = replace(ring, excitations=antenna.ring_excitations(float(x[0])))
+            amp[i] = antenna.array_pattern(spec)(x[1], np.float64(0.0))
+        return amp
+
+    return _antenna_factory(power, steering, [(0.0, 4.0), (0.0, math.pi)])(obj_id)
 
 
 def _make_pbm5(obj_id, n_elements=10) -> Objective:
     if not isinstance(n_elements, (int, np.integer)) or n_elements < 2:
         raise ObjectiveError("pbm5: n_elements must be an integer >= 2")
-    return _antenna_factory(_pbm5_geometry, [(0.5, 1.5)] * (n_elements - 1))(obj_id)
+    return _antenna_factory(_pbm5_power, _pbm5_steering, [(0.5, 1.5)] * (n_elements - 1))(obj_id)
 
 
 def _make_pbm4(obj_id, /, **_options):
@@ -299,8 +311,8 @@ REGISTRY: dict = {
     "himmelblau": _analytic_factory(_himmelblau_rows, [(-6.0, 6.0)] * 2),
     "neg_sum_squares": _analytic_factory(lambda X: -np.sum(X ** 2, axis=1), [(-5.0, 5.0)] * 3,
                                          dims_option=True),
-    "pbm1": _antenna_factory(_pbm1_geometry, [(0.5, 3.0), (0.0, math.pi / 2)], _pbm1_steering),
-    "pbm2": _antenna_factory(_pbm2_geometry, [(5.0, 15.0), (0.0, math.pi)], _pbm2_steering),
+    "pbm1": _antenna_factory(_pbm1_power, _pbm1_steering, [(0.5, 3.0), (0.0, math.pi / 2)]),
+    "pbm2": _antenna_factory(_pbm2_power, _pbm2_steering, [(5.0, 15.0), (0.0, math.pi)]),
     "pbm3": _make_pbm3,
     "pbm4": _make_pbm4,
     "pbm5": _make_pbm5,
@@ -315,8 +327,9 @@ def list_objectives() -> list:
 def get_objective(obj_id: str, /, **options) -> Objective:
     """Build a registered objective; a noise option wraps it in Gaussian noise.
 
-    noise = {"seed": int, "sigma": float (default 0.4472), "mu": float}.
-    An option the id's factory does not take is an ObjectiveError.
+    noise = {"seed": int, "sigma": float (default 0.4472), "mu": float}; any
+    noise that is not None is a request and must have that form. An option
+    the id's factory does not take is an ObjectiveError.
     """
     key = str(obj_id).strip().lower()
     factory = REGISTRY.get(key)
@@ -327,12 +340,12 @@ def get_objective(obj_id: str, /, **options) -> Objective:
     unknown = sorted(set(options) - {p.name for p in params})
     if unknown and not any(p.kind is p.VAR_KEYWORD for p in params):
         raise ObjectiveError(f"{key}: unknown options {unknown}")
-    if noise_opt and key == "external":
-        raise ObjectiveError("external: noise is not supported; add it in the evaluator")
-    if noise_opt and not (isinstance(noise_opt, dict) and "seed" in noise_opt
-                          and set(noise_opt) <= {"seed", "sigma", "mu"}):
-        raise ObjectiveError(f"{key}: noise must be an object with a seed and optional sigma, mu")
-    if noise_opt:
+    if noise_opt is not None:
+        if key == "external":
+            raise ObjectiveError("external: noise is not supported; add it in the evaluator")
+        if not (isinstance(noise_opt, dict) and "seed" in noise_opt
+                and set(noise_opt) <= {"seed", "sigma", "mu"}):
+            raise ObjectiveError(f"{key}: noise must be an object with a seed and optional sigma, mu")
         noise = {"sigma": 0.4472, "mu": 0.0, **noise_opt}
         if isinstance(noise["seed"], bool) or not isinstance(noise["seed"], int):
             raise ObjectiveError(f"{key}: noise.seed must be an integer")
@@ -340,7 +353,7 @@ def get_objective(obj_id: str, /, **options) -> Objective:
             if isinstance(noise[name], bool) or not isinstance(noise[name], (int, float)):
                 raise ObjectiveError(f"{key}: noise.{name} must be a number")
     obj = factory(key, **options)
-    if noise_opt:
+    if noise_opt is not None:
         obj = with_noise(obj, sigma=float(noise["sigma"]), seed=noise["seed"],
                          mu=float(noise["mu"]))
     return obj

@@ -95,9 +95,7 @@ def test_uniform_line_inphase_peak():
 
 
 def test_linear_directivity_frozen():
-    obj_key = ("test-line", 10, 5.92359)
-    d = directivity(uniform_line_pattern(5.92359), math.pi / 2, math.pi / 2,
-                    power_key=obj_key)
+    d = directivity(uniform_line_pattern(5.92359), math.pi / 2, math.pi / 2)
     assert d == pytest.approx(LINE_D_5923, rel=1e-9)
     d = directivity(uniform_line_pattern(5.85), math.pi / 2, math.pi / 2)
     assert d == pytest.approx(LINE_D_585, rel=1e-9)
@@ -289,7 +287,14 @@ def test_same_node_forms_reject_meshes_they_cannot_fold():
     ring = antenna.CouplingMatrix(circular_array_spec(0.0))
     with pytest.raises(ValueError, match="even n_theta"):
         ring.power(circular_array_spec(0.5).excitations, 255, 512)
-    lifted = antenna.ArraySpec(2, ((0.0, 0.0, 0.5), (1.0, 0.0, 0.5)), (0.0, 0.0, 1.0),
-                               (1.0 + 0j, 1.0 + 0j))
+    lifted = antenna.ArraySpec(np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.5]]),
+                               np.ones(2, dtype=complex), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="z=0 plane"):
         antenna.CouplingMatrix(lifted)
+
+
+def test_pbm3_rows_reuse_the_ring(monkeypatch):
+    # the objective builds the ring once; a row makes only its excitations
+    obj = get_objective("pbm3")
+    monkeypatch.setattr(antenna, "circular_array_spec", None)
+    assert obj.evaluate_batch(np.array([[0.5, 1.0], [1.5, 2.0]])).shape == (2,)

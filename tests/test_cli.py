@@ -255,6 +255,43 @@ def test_seed_sweep_changes_runs(tmp_path):
     assert rec1["series"]["step_best_fitness"] != rec2["series"]["step_best_fitness"]
 
 
+def test_seed_sweep_supplies_a_missing_noise_seed(tmp_path):
+    doc = {
+        "objective": {"id": "sgo", "options": {"noise": {}}},
+        "cfo": {"n_probes": 6, "n_steps": 15},
+        "sweep": {"parameter": "seed", "start": 1, "stop": 2, "count": 2},
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--quiet"]) == 0
+    doc["objective"]["options"]["noise"] = {"seed": 1}
+    doc["outputs"]["dir"] = str(tmp_path / "seeded")
+    assert main(["sweep", "--config", write_config(tmp_path, doc, "seeded.json"), "--quiet"]) == 0
+    for run_dir in ("run_01", "run_02"):
+        assert ((tmp_path / "out" / run_dir / "record.json").read_bytes()
+                == (tmp_path / "seeded" / run_dir / "record.json").read_bytes())
+    # run on the same config takes the sweep's first seed
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "single"), "--quiet"]) == 0
+    assert ((tmp_path / "single" / "record.json").read_bytes()
+            == (tmp_path / "out" / "run_01" / "record.json").read_bytes())
+
+
+@pytest.mark.parametrize("objective,bounds,bad,message", [
+    ("pbm1", [[-1.0, 3.0], [0.0, 1.5]], [-0.5, 0.5], "dipole length must be > 0"),
+    ("pbm2", [[-5.0, 15.0], [0.0, 3.0]], [-2.0, 1.0], "element spacing must be positive"),
+    ({"id": "pbm5", "options": {"n_elements": 3}}, [[0.2, 1.5], [0.2, 1.5]], [0.3, 1.0],
+     "element spacing below 0.5 wavelength"),
+])
+def test_antenna_geometry_outside_its_domain_names_the_probe(tmp_path, capsys, objective,
+                                                             bounds, bad, message):
+    doc = {"objective": objective, "bounds": bounds,
+           "cfo": {"n_probes": 2, "n_steps": 3, "init_scheme": "custom",
+                   "initial_probes": [[1.0, 1.0], bad]},
+           "outputs": {"dir": str(tmp_path / "out")}}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+    assert f"step 0, probe 2: {message}" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path, capsys):
     doc = {"objective": "gp", "outputs": {"dir": str(tmp_path / "out")}}
     cfg = write_config(tmp_path, doc)
@@ -425,6 +462,12 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
     ({"id": "gp", "options": {"noise": {"seed": 1, "sigma": "wide"}}}, [],
      "gp: noise.sigma must be a number"),
     ({"id": "gp", "options": {"noise": {"seed": 1, "mu": None}}}, [], "gp: noise.mu must be a number"),
+    ({"id": "gp", "options": {"noise": {}}}, [], "gp: noise must be an object with a seed"),
+    ({"id": "gp", "options": {"noise": False}}, [], "gp: noise must be an object with a seed"),
+    ({"id": "gp", "options": {"noise": 0}}, [], "gp: noise must be an object with a seed"),
+    ({"id": "external", "options": dict(QUADRATIC, noise={})}, [],
+     "external: noise is not supported"),
+    ({"id": "gp", "options": {"noise": False}}, ["--seed", "4"], "gp: noise must be an object with a seed"),
 ])
 def test_bad_objective_options_exit_2(tmp_path, capsys, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)

@@ -100,11 +100,13 @@ def test_batch_matches_scalar():
 
 def test_degenerate_antenna_row_names_its_probe():
     # the antenna batch checks each row's power as antenna.directivity does
-    def geometry(x):
+    def power(x):
         scale = float(x[0] < 0.0)
-        return (lambda th, ph: scale * np.ones(np.broadcast(th, ph).shape)), None, 1.0, 0.0, None
+        flat = lambda th, ph: scale * np.ones(np.broadcast(th, ph).shape)
+        return None, lambda n_theta, n_phi: antenna.radiated_power(flat, n_theta, n_phi)
 
-    obj = objectives._antenna_factory(geometry, [(-1.0, 1.0)])("flat")
+    obj = objectives._antenna_factory(power, lambda rows: np.ones(len(rows)),
+                                      [(-1.0, 1.0)])("flat")
     space = DecisionSpace(np.array([-1.0]), np.array([1.0]))
     cfg = CfoConfig(n_probes=2, n_steps=1, init_scheme="custom",
                     initial_probes=np.array([[-0.5], [0.5]]))
@@ -183,15 +185,12 @@ def test_antenna_objectives_match_the_pattern_layer():
     assert pbm1.bounds.bounds_list() == [(0.5, 3.0), (0.0, math.pi / 2)]
 
     pbm2 = get_objective("pbm2")
-    want = antenna.directivity(
-        antenna.uniform_line_pattern(5.85), math.pi / 2, math.pi / 2,
-        power_key=("spotcheck", 5.85))
+    want = antenna.directivity(antenna.uniform_line_pattern(5.85), math.pi / 2, math.pi / 2)
     assert pbm2.evaluate([5.85, math.pi / 2]) == pytest.approx(want, rel=1e-12)
 
     pbm3 = get_objective("pbm3")
     want = antenna.directivity(
-        antenna.array_pattern(antenna.circular_array_spec(0.5)),
-        math.pi / 2, 0.0, power_key=("spotcheck3", 0.5))
+        antenna.array_pattern(antenna.circular_array_spec(0.5)), math.pi / 2, 0.0)
     assert pbm3.evaluate([0.5, math.pi / 2]) == pytest.approx(want, rel=1e-12)
 
     pbm5 = get_objective("pbm5", n_elements=6)

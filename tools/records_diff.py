@@ -8,8 +8,9 @@
 every benchmark operation of perfbench/workloads.py at seeds 0 and 1 at
 full size, plus the extra runs and oracles below: every init scheme, noise,
 an external child, early termination, a --seed override sweep, a noisy
-`pbm1` run, a 10-element `pbm5` run, a `pbm3` oracle finer than the
-benchmark's, and the history outputs the benchmark leaves out (probe
+`pbm1` run, 10- and 3-element `pbm5` runs, a `pbm3` oracle finer than the
+benchmark's, a 3-run `pbm3` gamma sweep (each run builds its own ring and
+coupling matrix), and the history outputs the benchmark leaves out (probe
 snapshots alone in 2-D and in 3-D, where none are written, and a sweep with
 trajectories). `diff` compares the two output trees file by file (the configs
 name their own directory, so the first tree's path is replaced by the
@@ -43,16 +44,19 @@ EXTRA = {  # name: (objective, cfo block)
     "pbm2_grid": ("pbm2", {"n_probes": 16, "n_steps": 3, "init_scheme": "grid_2d"}),
     "pbm1_noisy": ({"id": "pbm1", "options": {"noise": {"seed": 11}}}, {"n_probes": 8, "n_steps": 30}),
     "pbm5_10": ("pbm5", {"n_probes": 18, "n_steps": 2}),
+    "pbm5_3": ({"id": "pbm5", "options": {"n_elements": 3}}, {"n_probes": 8, "n_steps": 20}),
 }
 for _g in (0.0, 0.5, 1.0):
     for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
         EXTRA[f"{_f}_g{_g}"] = (_f, {"n_steps": 100, "gamma": _g})
-HISTORY = {  # name: (objective, config blocks besides outputs.dir)
+CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep block runs a sweep
     "gp_snapshots": ("gp", {"cfo": {"n_probes": 8, "n_steps": 50}, "outputs": {"probe_snapshots": True}}),
     "step3_snapshots": ({"id": "step", "options": {"n_dims": 3}}, {"cfo": {"n_probes": 9, "n_steps": 50},
                                                                   "outputs": {"probe_snapshots": True}}),
     "sgo_sweep_trajectories": ("sgo", {"cfo": {"n_probes": 6, "n_steps": 40}, "outputs": {"trajectories": True},
                                        "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
+    "pbm3_sweep": ("pbm3", {"cfo": {"n_probes": 6, "n_steps": 20}, "outputs": {},
+                            "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
 }
 EXTRA_ORACLES = {  # name: (objective, resolution)
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
@@ -102,7 +106,7 @@ def run(out: Path):
         path = _write_config(out, name, objective, cfo=cfo,
                              outputs={"dir": str(out / "extra" / name), "trajectories": True})
         cli.run_benchmark(cli.load_config(path), quiet=True)
-    for name, (objective, blocks) in HISTORY.items():
+    for name, (objective, blocks) in CONFIGS.items():
         outputs = dict(blocks["outputs"], dir=str(out / "extra" / name))
         spec = cli.load_config(_write_config(out, name, objective, **dict(blocks, outputs=outputs)))
         if "sweep" in blocks:
