@@ -14,7 +14,6 @@ from .engine import (
     EngineError,
     InvariantError,
     RunRecord,
-    best_fitness,
     compute_accelerations,
     d_avg,
     detect_davg_saturation,
@@ -42,7 +41,6 @@ __all__ = [
     "OracleResult",
     "RunRecord",
     "SplitMix64",
-    "best_fitness",
     "compute_accelerations",
     "d_avg",
     "detect_davg_saturation",

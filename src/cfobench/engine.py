@@ -5,8 +5,9 @@ toward every probe whose fitness exceeds its own, with a coupling that grows
 with the fitness gap and decays with distance. Positions advance by the
 half-a-t-squared kinematic update, probes that leave the box are pulled back
 inside by the repositioning factor, and two saturation detectors (fitness
-and probe-spread) diagnose convergence. With a fixed noise seed the whole
-trajectory is a pure function of the inputs.
+and probe-spread) diagnose convergence. Every run starts at zero
+acceleration, and with a fixed noise seed the whole trajectory is a pure
+function of the inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .space import DecisionSpace
 # probes and the pair is skipped in the force sum.
 COINCIDENT_REL_TOL = 1e-14
 
-_SCHEMES = {"on_axis", "off_diagonal", "grid_2d", "custom"}
+_SCHEMES = ("custom", "grid_2d", "off_diagonal", "on_axis")
 
 
 class ConfigError(ValueError):
@@ -40,13 +41,10 @@ class InvariantError(RuntimeError):
     """An internal engine invariant was violated (a bug, not a user error)."""
 
 
-def _canon_scheme(name: str) -> str:
-    key = str(name).replace("-", "_").replace(" ", "_").lower()
-    key = {"onaxis": "on_axis", "offdiagonal": "off_diagonal",
-           "grid2d": "grid_2d", "grid_2_d": "grid_2d"}.get(key.replace("_", ""), key)
-    if key not in _SCHEMES:
-        raise ConfigError(f"init_scheme: unknown scheme {name!r}")
-    return key
+def _check_scheme(name: str) -> None:
+    if name not in _SCHEMES:
+        raise ConfigError(f"init_scheme: unknown scheme {name!r}; "
+                          f"expected one of {', '.join(_SCHEMES)}")
 
 
 @dataclass
@@ -69,7 +67,6 @@ class CfoConfig:
     init_scheme: str = "on_axis"
     gamma: float = 0.5
     initial_probes: Optional[np.ndarray] = None
-    initial_acceleration: Optional[np.ndarray] = None
     frep_init: float = 0.5
     frep_increment: float = 0.005
     fit_tol: float = 0.0005
@@ -111,11 +108,11 @@ class CfoConfig:
             raise ConfigError("n_saved/n_sat: need n_saved >= n_sat >= 1")
         if self.n_avg_steps < 1:
             raise ConfigError("n_avg_steps: must be >= 1")
-        scheme = _canon_scheme(self.init_scheme)
-        if scheme == "custom" and self.initial_probes is None:
+        _check_scheme(self.init_scheme)
+        if self.init_scheme == "custom" and self.initial_probes is None:
             raise ConfigError("initial_probes: required for the custom scheme")
         if space is not None:
-            self._validate_scheme(scheme, space)
+            self._validate_scheme(self.init_scheme, space)
 
     def _validate_scheme(self, scheme: str, space: DecisionSpace) -> None:
         n_p, n_d = int(self.n_probes), space.n_dims
@@ -142,10 +139,8 @@ class CfoConfig:
 
     def to_dict(self) -> dict:
         """Every field that has a value, cast to its declared type."""
-        d = {name: _ECHO[kind](getattr(self, name))
-             for name, kind in _FIELD_TYPES.items() if getattr(self, name) is not None}
-        d["init_scheme"] = _canon_scheme(self.init_scheme)
-        return d
+        return {name: _ECHO[kind](getattr(self, name))
+                for name, kind in _FIELD_TYPES.items() if getattr(self, name) is not None}
 
 
 _FIELD_TYPES = get_type_hints(CfoConfig)
@@ -176,7 +171,7 @@ def _read_json(name: str, kind, value):
 
 @dataclass
 class RunState:
-    """Mutable per-run state; exposed mainly for the repositioning update."""
+    """Mutable state of one run()."""
 
     positions: np.ndarray
     positions_prev: np.ndarray
@@ -257,15 +252,14 @@ def compute_accelerations(
     positions: np.ndarray,
     fitness: np.ndarray,
     cfg: CfoConfig,
-    space: Optional[DecisionSpace] = None,
+    space: DecisionSpace,
     work: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pairwise gravitational update, vectorized over all probe pairs.
 
     a_p = g * sum_k mass(m_k, m_p) * (r_k - r_p) / |r_k - r_p|^beta.
-    Coincident pairs are skipped (zero contribution): exactly-zero distance
-    always, and distances below 1e-14 of the space diagonal when the space
-    is supplied. work, an (n_p, n_p, n_d) float array, receives the pair
+    Coincident pairs, closer than 1e-14 of the space diagonal, are skipped
+    (zero contribution). work, an (n_p, n_p, n_d) float array, receives the pair
     differences; run() passes one for all steps, because glibc returned a
     fresh per-step array to the system on every step and faulted it in again
     (about 1,600 page faults a step at 120 probes in 30 dimensions).
@@ -280,8 +274,7 @@ def compute_accelerations(
     gap = np.maximum(fit[None, :] - fit[:, None], 0.0)
     mass = gap ** float(cfg.alpha)
 
-    cutoff = 0.0 if space is None else COINCIDENT_REL_TOL * space.diag_length
-    alive = dist > cutoff
+    alive = dist > COINCIDENT_REL_TOL * space.diag_length
     np.fill_diagonal(alive, False)
 
     denom = np.where(alive, dist, 1.0) ** float(cfg.beta)
@@ -323,19 +316,18 @@ def saved_slot_index(j: int, n_saved: int) -> int:
     return n_saved if s == 0 else s
 
 
-def update_frep(state: RunState, cfg: CfoConfig) -> float:
+def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> float:
     """Step the repositioning factor when the saved-best ring has flattened.
 
     The test compares the last ring slot against the mean of the last n_sat
     slots; within fit_tol the factor grows by frep_increment, and a result
     reaching 1 wraps back to frep_init.
     """
-    ring = state.saved_best
-    tail = ring[cfg.n_saved - cfg.n_sat:]
-    if abs(float(ring[cfg.n_saved - 1]) - float(tail.mean())) <= cfg.fit_tol:
-        nxt = state.frep_current + cfg.frep_increment
+    tail = saved_best[cfg.n_saved - cfg.n_sat:]
+    if abs(float(saved_best[cfg.n_saved - 1]) - float(tail.mean())) <= cfg.fit_tol:
+        nxt = frep_current + cfg.frep_increment
         return cfg.frep_init if nxt >= 1.0 else nxt
-    return state.frep_current
+    return frep_current
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +335,7 @@ def update_frep(state: RunState, cfg: CfoConfig) -> float:
 
 
 def init_probes(scheme: str, space: DecisionSpace, cfg: CfoConfig) -> np.ndarray:
-    scheme = _canon_scheme(scheme)
+    _check_scheme(scheme)
     cfg._validate_scheme(scheme, space)
     n_p, n_d = int(cfg.n_probes), space.n_dims
     lo, hi = space.lower, space.upper
@@ -399,22 +391,17 @@ def uniform_lattice_points(space: DecisionSpace, shape: tuple[int, int]) -> np.n
 # diagnostics
 
 
-def d_avg(positions: np.ndarray, reference, space: DecisionSpace) -> float:
-    """Average probe distance from the reference, normalized by the diagonal.
+def d_avg(positions: np.ndarray, reference: np.ndarray, space: DecisionSpace) -> float:
+    """Average probe distance from the reference point, normalized by the diagonal.
 
-    reference is either a row index into positions (the best probe) or an
-    explicit coordinate vector (the historical best position). The reference
-    probe itself stays in the average and contributes zero.
+    run() passes the best position so far. A probe at the reference stays in
+    the average and contributes zero.
     """
     pos = np.asarray(positions, dtype=float)
     n_p = pos.shape[0]
     if n_p < 2:
         raise ValueError("spread diagnostic needs at least 2 probes")
-    if np.isscalar(reference) or isinstance(reference, (int, np.integer)):
-        ref = pos[int(reference)]
-    else:
-        ref = np.asarray(reference, dtype=float)
-    dists = np.sqrt(np.sum((pos - ref) ** 2, axis=1))
+    dists = np.sqrt(np.sum((pos - np.asarray(reference, dtype=float)) ** 2, axis=1))
     return float(dists.sum() / (space.diag_length * (n_p - 1)))
 
 
@@ -454,21 +441,8 @@ def detect_oscillation(davg_series: Sequence[float], j: int) -> bool:
     return changes >= 3
 
 
-def best_fitness(fitness_history, up_to_step: int) -> tuple[float, int, int]:
-    """Best (value, probe, step) over history, scanned step-major.
-
-    Ties go to the latest entry scanned, so equal values resolve to the
-    larger step and, within a step, the larger probe number. Probe numbers
-    are 1-based, steps 0-based.
-    """
-    hist = np.asarray(fitness_history, dtype=float)
-    best_v = hist[0][0]
-    best_p, best_s = 1, 0
-    for step in range(0, up_to_step + 1):
-        best_v, taker = _absorb_row(hist[step], best_v)
-        if taker >= 0:
-            best_p, best_s = taker + 1, step
-    return float(best_v), best_p, best_s
+# ---------------------------------------------------------------------------
+# the run loop
 
 
 def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
@@ -485,36 +459,18 @@ def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
     return best_v, taker
 
 
-# ---------------------------------------------------------------------------
-# the run loop
-
-
-def _coerce_initial_acceleration(cfg: CfoConfig, n_p: int, n_d: int) -> np.ndarray:
-    if cfg.initial_acceleration is None:
-        return np.zeros((n_p, n_d))
-    arr = np.asarray(cfg.initial_acceleration, dtype=float)
-    if arr.ndim == 0:
-        return np.full((n_p, n_d), float(arr))
-    if arr.shape == (n_d,):
-        return np.tile(arr, (n_p, 1))
-    if arr.shape == (n_p, n_d):
-        return arr.copy()
-    raise ConfigError(
-        f"initial_acceleration: expected scalar, ({n_d},) or ({n_p}, {n_d}), got {arr.shape}"
-    )
-
-
 def run(cfg: CfoConfig, space: DecisionSpace, objective,
         keep_history: bool = False) -> RunRecord:
     """Execute one optimization run and return its record.
 
-    Per step: advance positions, retrieve escapees, evaluate all probes in
-    one objective batch (rows in ascending probe order), update the best
-    bookkeeping and the saved-best ring, update the repositioning factor,
-    compute the next accelerations, then record diagnostics. Runs to
-    n_steps, or stops at the first fitness saturation when
-    early_termination is on. keep_history also keeps every step's fitnesses
-    and positions in the record (in memory only).
+    Every probe starts from rest (zero acceleration), so step 1 re-evaluates
+    the initial layout. Per step: advance positions, retrieve escapees,
+    evaluate all probes in one objective batch (rows in ascending probe
+    order), update the best bookkeeping and the saved-best ring, update the
+    repositioning factor, compute the next accelerations, then record
+    diagnostics. Runs to n_steps, or stops at the first fitness saturation
+    when early_termination is on. keep_history also keeps every step's
+    fitnesses and positions in the record (in memory only).
     """
     cfg.validate(space)
     n_p, n_d = int(cfg.n_probes), space.n_dims
@@ -539,7 +495,7 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
 
     positions = init_probes(cfg.init_scheme, space, cfg)
     work = np.empty((n_p, n_p, n_d))
-    accelerations = _coerce_initial_acceleration(cfg, n_p, n_d)
+    accelerations = np.zeros((n_p, n_d))
     fitness = evaluate_all(positions, 0)
 
     state = RunState(
@@ -592,7 +548,7 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
         state.fitness = evaluate_all(state.positions, j)
         if absorb_step_fitness(j):
             state.saved_best[saved_slot_index(j, cfg.n_saved) - 1] = state.best_fitness_so_far
-        state.frep_current = update_frep(state, cfg)
+        state.frep_current = update_frep(state.saved_best, state.frep_current, cfg)
         state.accelerations = compute_accelerations(state.positions, state.fitness,
                                                     cfg, space, work)
 

@@ -327,9 +327,10 @@ def list_objectives() -> list:
 def get_objective(obj_id: str, /, **options) -> Objective:
     """Build a registered objective; a noise option wraps it in Gaussian noise.
 
-    noise = {"seed": int, "sigma": float (default 0.4472), "mu": float}; any
-    noise that is not None is a request and must have that form. An option
-    the id's factory does not take is an ObjectiveError.
+    noise = {"seed": int, "sigma": float, "mu": float}, with NoiseState's
+    sigma and mu as the defaults; any noise that is not None is a request
+    and must have that form. An option the id's factory does not take is an
+    ObjectiveError.
     """
     key = str(obj_id).strip().lower()
     factory = REGISTRY.get(key)
@@ -346,7 +347,7 @@ def get_objective(obj_id: str, /, **options) -> Objective:
         if not (isinstance(noise_opt, dict) and "seed" in noise_opt
                 and set(noise_opt) <= {"seed", "sigma", "mu"}):
             raise ObjectiveError(f"{key}: noise must be an object with a seed and optional sigma, mu")
-        noise = {"sigma": 0.4472, "mu": 0.0, **noise_opt}
+        noise = {"sigma": NoiseState.sigma, "mu": NoiseState.mu, **noise_opt}
         if isinstance(noise["seed"], bool) or not isinstance(noise["seed"], int):
             raise ObjectiveError(f"{key}: noise.seed must be an integer")
         for name in ("sigma", "mu"):
@@ -359,7 +360,7 @@ def get_objective(obj_id: str, /, **options) -> Objective:
     return obj
 
 
-def with_noise(obj: Objective, sigma: float, seed: int, mu: float = 0.0) -> Objective:
+def with_noise(obj: Objective, sigma: float, seed: int, mu: float = NoiseState.mu) -> Objective:
     """Additive Gaussian noise on the returned fitness, from a seeded stream.
 
     The noisy objective is stateful: a batch evaluates the base rows, then

@@ -132,9 +132,8 @@ def refine(
     if levels < 1:
         raise ValueError("refine needs at least one level")
 
-    eval_fn = getattr(objective, "evaluate", objective)
     best_point = np.clip(center, space.lower, space.upper)
-    best_value = float(eval_fn(best_point))
+    best_value = float(batch_form(objective)(best_point[None, :])[0])
     n_evals = 1
 
     for _level in range(levels):

@@ -81,8 +81,9 @@ class NoiseState:
     sigma: float = 0.4472
     rng: SplitMix64 = field(default_factory=lambda: SplitMix64(0))
 
+    # mu and sigma below read the field defaults declared above
     @classmethod
-    def seeded(cls, seed: int, mu: float = 0.0, sigma: float = 0.4472) -> "NoiseState":
+    def seeded(cls, seed: int, mu: float = mu, sigma: float = sigma) -> "NoiseState":
         return cls(mu=mu, sigma=sigma, rng=SplitMix64(seed))
 
 

@@ -388,7 +388,7 @@ def test_cfo_block_rejects_unknown_and_mistyped_fields(tmp_path):
 def test_cfo_keys_are_the_record_config_keys(tmp_path):
     # every field a cfo block accepts is echoed in record.json, and the echo
     # is itself a cfo block that reproduces the record
-    cfo = dict(BASE_RUN["cfo"], init_scheme="custom", initial_acceleration=[0.25, -0.5],
+    cfo = dict(BASE_RUN["cfo"], init_scheme="custom",
                initial_probes=[[x, -x] for x in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5)])
     records = []
     for name in ("a", "b"):
@@ -424,12 +424,21 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, blocks):
     ("perturbation_sigma", 0.1),
     ("mitigation_seed", 3),
     ("keep_history", False),
+    ("initial_acceleration", [0.25, -0.5]),
 ])
 def test_removed_cfo_options_are_unknown_fields(tmp_path, capsys, key, value):
     doc = dict(BASE_RUN, cfo=dict(BASE_RUN["cfo"], **{key: value}))
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "unknown field" in err and key in err
+
+
+@pytest.mark.parametrize("scheme", ["grid-2d", "On-Axis"])
+def test_scheme_names_must_be_exact(tmp_path, capsys, scheme):
+    doc = dict(BASE_RUN, cfo=dict(BASE_RUN["cfo"], init_scheme=scheme))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown scheme {scheme!r}; expected one of custom, grid_2d, off_diagonal, on_axis" in err
 
 
 @pytest.mark.parametrize("obj_id", list_objectives())

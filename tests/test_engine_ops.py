@@ -8,9 +8,7 @@ import pytest
 from cfobench.engine import (
     CfoConfig,
     ConfigError,
-    RunState,
     advance_positions,
-    best_fitness,
     compute_accelerations,
     d_avg,
     detect_davg_saturation,
@@ -22,23 +20,6 @@ from cfobench.engine import (
     update_frep,
 )
 from cfobench.space import DecisionSpace
-
-
-def make_state(saved, frep):
-    """RunState stub carrying just the fields the repositioning update reads."""
-    pos = np.zeros((2, 1))
-    return RunState(
-        positions=pos,
-        positions_prev=pos.copy(),
-        accelerations=np.zeros((2, 1)),
-        fitness=np.zeros(2),
-        best_fitness_so_far=0.0,
-        best_probe=1,
-        best_step=0,
-        best_position=pos[0].copy(),
-        saved_best=np.asarray(saved, dtype=float),
-        frep_current=frep,
-    )
 
 
 def test_acceleration_two_probe_line():
@@ -126,20 +107,19 @@ def test_saved_slot_index():
 
 def test_update_frep_increments_on_flat_ring():
     cfg = CfoConfig(n_probes=2, n_steps=1)
-    state = make_state([10.0, 10.0, 10.0000, 10.0003, 10.0001], 0.5)
-    assert update_frep(state, cfg) == pytest.approx(0.505)
+    ring = np.array([10.0, 10.0, 10.0000, 10.0003, 10.0001])
+    assert update_frep(ring, 0.5, cfg) == pytest.approx(0.505)
 
 
 def test_update_frep_wraps_to_start():
     cfg = CfoConfig(n_probes=2, n_steps=1)
-    state = make_state([1.0, 1.0, 1.0, 1.0, 1.0], 0.9975)
-    assert update_frep(state, cfg) == cfg.frep_init
+    assert update_frep(np.ones(5), 0.9975, cfg) == cfg.frep_init
 
 
 def test_update_frep_holds_when_ring_moves():
     cfg = CfoConfig(n_probes=2, n_steps=1)
-    state = make_state([0.0, 0.0, 1.0, 5.0, 9.0], 0.5)
-    assert update_frep(state, cfg) == 0.5
+    ring = np.array([0.0, 0.0, 1.0, 5.0, 9.0])
+    assert update_frep(ring, 0.5, cfg) == 0.5
 
 
 def test_init_on_axis_unit_square():
@@ -177,9 +157,9 @@ def test_init_custom_rejects_outside_point():
 def test_d_avg_values():
     space = DecisionSpace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     pos = np.array([[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]])
-    assert d_avg(pos, 0, space) == 0.0
+    assert d_avg(pos, pos[0], space) == 0.0
     pos = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert d_avg(pos, 0, space) == pytest.approx(1.0)
+    assert d_avg(pos, pos[0], space) == pytest.approx(1.0)
 
 
 def test_d_avg_matches_bruteforce():
@@ -192,13 +172,13 @@ def test_d_avg_matches_bruteforce():
         for p in range(6):
             total += math.sqrt(float(((pos[p] - ref) ** 2).sum()))
         want = total / (space.diag_length * 5)
-        assert d_avg(pos, 2, space) == pytest.approx(want, rel=1e-12)
+        assert d_avg(pos, pos[2], space) == pytest.approx(want, rel=1e-12)
 
 
 def test_d_avg_needs_two_probes():
     space = DecisionSpace(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        d_avg(np.array([[0.5]]), 0, space)
+        d_avg(np.array([[0.5]]), np.array([0.5]), space)
 
 
 def test_oscillation_detector():
@@ -225,16 +205,6 @@ def test_davg_saturation_detector():
     falling = [1.0 - 0.01 * k for k in range(60)]
     assert detect_davg_saturation(falling, 30, cfg) is False
     assert detect_davg_saturation(flat, 12, cfg) is False
-
-
-def test_best_fitness_bookkeeping():
-    assert best_fitness(np.array([[7.0]]), 0) == (7.0, 1, 0)
-    hist = np.array([[1.0, 2.0], [3.0, 0.0]])
-    assert best_fitness(hist, 1) == (3.0, 1, 1)
-    tie = np.array([[5.0, 0.0], [0.0, 5.0]])
-    assert best_fitness(tie, 1) == (5.0, 2, 1)
-    # restricting the scan hides later steps
-    assert best_fitness(hist, 0) == (2.0, 2, 0)
 
 
 def naive_full_step(pos, fit, acc, cfg, space, frep):

@@ -30,14 +30,14 @@ EXTERNAL = {"id": "external", "options": {"command": [sys.executable, "-m", "cfo
 EXTRA = {  # name: (objective, cfo block)
     "gp_on_axis": ("gp", {"n_probes": 8, "n_steps": 300, "gamma": 0.3}),
     "himmelblau_grid": ("himmelblau", {"n_probes": 9, "n_steps": 200, "init_scheme": "grid_2d"}),
-    "sgo_grid16": ("sgo", {"n_probes": 16, "n_steps": 150, "init_scheme": "grid-2d"}),
+    "sgo_grid16": ("sgo", {"n_probes": 16, "n_steps": 150, "init_scheme": "grid_2d"}),
     "colville_offdiag": ("colville", {"n_probes": 12, "n_steps": 200, "init_scheme": "off_diagonal"}),
     "parrott_offdiag": ("parrott_f4", {"n_probes": 5, "n_steps": 100, "init_scheme": "off_diagonal"}),
     "griewank_custom": ("griewank", {"n_probes": 3, "n_steps": 120, "init_scheme": "custom",
                                      "initial_probes": [[-500.0, 10.0], [3.0, 4.0], [200.0, -100.0]]}),
     "step_early": ("step", {"n_probes": 8, "n_steps": 400, "n_avg_steps": 10, "early_termination": True}),
     "step_shifted": ("step_shifted", {"n_probes": 8, "n_steps": 200, "gamma": 0.9}),
-    "gp_shifted_accel": ("gp_shifted", {"n_probes": 8, "n_steps": 200, "initial_acceleration": [0.5, -0.25]}),
+    "gp_shifted": ("gp_shifted", {"n_probes": 8, "n_steps": 200}),
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3, "sigma": 0.4}}}, {"n_probes": 8, "n_steps": 200}),
     "pbm2_noisy": ({"id": "pbm2", "options": {"noise": {"seed": 5}}}, {"n_probes": 8, "n_steps": 20}),
     "external_offdiag": (EXTERNAL, {"n_probes": 12, "n_steps": 60, "init_scheme": "off_diagonal"}),
