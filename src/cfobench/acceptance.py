@@ -177,7 +177,8 @@ def _run_analytic(func_id: str, gamma: float) -> RunRecord:
     return run(cfg, space, objective)
 
 
-def _build_analytic_sweep(func_id: str):
+@lru_cache(maxsize=None)
+def _analytic_sweep(func_id: str):
     best: Optional[RunRecord] = None
     best_gamma = None
     slowest = 0.0
@@ -191,10 +192,8 @@ def _build_analytic_sweep(func_id: str):
     return best, best_gamma, slowest
 
 
-_analytic_sweep = lru_cache(maxsize=None)(_build_analytic_sweep)
-
-
-def _build_dipole_run() -> RunRecord:
+@lru_cache(maxsize=None)
+def _dipole_run() -> RunRecord:
     objective = _objective("pbm1")
     cfg = CfoConfig(
         n_probes=4,
@@ -206,15 +205,13 @@ def _build_dipole_run() -> RunRecord:
     return run(cfg, objective.bounds, objective)
 
 
-_dipole_run = lru_cache(maxsize=None)(_build_dipole_run)
-
-
 @lru_cache(maxsize=None)
 def _dipole_oracle():
     return grid_oracle(_objective("pbm1"), resolution=DIPOLE_ORACLE_RESOLUTION)
 
 
-def _build_linear_run(noisy: bool) -> RunRecord:
+@lru_cache(maxsize=None)
+def _linear_run(noisy: bool) -> RunRecord:
     if noisy:
         objective = get_objective("pbm2", noise={"seed": NOISY_SEED})
     else:
@@ -227,9 +224,6 @@ def _build_linear_run(noisy: bool) -> RunRecord:
         initial_probes=uniform_lattice_points(space, LINEAR_LATTICE),
     )
     return run(cfg, space, objective)
-
-
-_linear_run = lru_cache(maxsize=None)(_build_linear_run)
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +240,8 @@ def _linear_oracle():
     return grid, sharpened
 
 
-def _build_circular_run() -> RunRecord:
+@lru_cache(maxsize=None)
+def _circular_run() -> RunRecord:
     objective = _objective("pbm3")
     cfg = CfoConfig(
         n_probes=10,
@@ -255,9 +250,6 @@ def _build_circular_run() -> RunRecord:
         gamma=CIRCULAR_RUN_GAMMA,
     )
     return run(cfg, objective.bounds, objective)
-
-
-_circular_run = lru_cache(maxsize=None)(_build_circular_run)
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +293,8 @@ def _collinear_sweep(n_elements: int):
     return grid, sharpened
 
 
-def _build_collinear_run(n_elements: int) -> RunRecord:
+@lru_cache(maxsize=None)
+def _collinear_run(n_elements: int) -> RunRecord:
     objective = _collinear_objective(n_elements)
     space = objective.bounds
     cfg = CfoConfig(
@@ -311,9 +304,6 @@ def _build_collinear_run(n_elements: int) -> RunRecord:
         initial_probes=uniform_diagonal_points(space, 2 * space.n_dims),
     )
     return run(cfg, space, objective)
-
-
-_collinear_run = lru_cache(maxsize=None)(_build_collinear_run)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +369,12 @@ def criterion_2() -> CriterionResult:
         ("gp", gp_best, lambda: _run_analytic("gp", gp_gamma)),
         ("himmelblau", hb_best, lambda: _run_analytic("himmelblau", hb_gamma)),
         ("parrott_f4", pf_best, lambda: _run_analytic("parrott_f4", pf_gamma)),
-        ("dipole", _dipole_run(), _build_dipole_run),
-        ("linear", _linear_run(False), lambda: _build_linear_run(False)),
-        ("linear noisy", _linear_run(True), lambda: _build_linear_run(True)),
-        ("circular", _circular_run(), _build_circular_run),
-        ("collinear 6", _collinear_run(6), lambda: _build_collinear_run(6)),
-        ("collinear 10", _collinear_run(10), lambda: _build_collinear_run(10)),
+        ("dipole", _dipole_run(), _dipole_run.__wrapped__),
+        ("linear", _linear_run(False), lambda: _linear_run.__wrapped__(False)),
+        ("linear noisy", _linear_run(True), lambda: _linear_run.__wrapped__(True)),
+        ("circular", _circular_run(), _circular_run.__wrapped__),
+        ("collinear 6", _collinear_run(6), lambda: _collinear_run.__wrapped__(6)),
+        ("collinear 10", _collinear_run(10), lambda: _collinear_run.__wrapped__(10)),
     ]
     t1 = time.perf_counter()
     _objective.cache_clear()

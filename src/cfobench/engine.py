@@ -2,12 +2,14 @@
 
 Probes with recorded fitness values attract each other: a probe accelerates
 toward every probe whose fitness exceeds its own, with a coupling that grows
-with the fitness gap and decays with distance. Positions advance by the
-half-a-t-squared kinematic update, probes that leave the box are pulled back
-inside by the repositioning factor, and two saturation detectors (fitness
-and probe-spread) diagnose convergence. Every run starts at zero
-acceleration, and with a fixed noise seed the whole trajectory is a pure
-function of the inputs.
+with the fitness gap and decays with distance. run() is one loop over plain
+local variables: move the probes by the half-a-t-squared kinematic update,
+pull probes that left the box back inside by the repositioning factor,
+evaluate them, update the running best, the saved-best ring and the
+repositioning factor, then compute the next accelerations. Two saturation
+detectors (fitness and probe-spread) diagnose convergence. Every run starts
+at zero acceleration, and with a fixed noise seed the whole trajectory is a
+pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class CfoConfig:
         return cls(**{name: _read_json(name, _FIELD_TYPES[name], value)
                       for name, value in block.items()})
 
-    def validate(self, space: Optional[DecisionSpace] = None) -> None:
+    def validate(self, space: DecisionSpace) -> None:
         if int(self.n_probes) < 2:
             raise ConfigError("n_probes: need at least 2 probes")
         if int(self.n_steps) < 1:
@@ -111,8 +113,7 @@ class CfoConfig:
         _check_scheme(self.init_scheme)
         if self.init_scheme == "custom" and self.initial_probes is None:
             raise ConfigError("initial_probes: required for the custom scheme")
-        if space is not None:
-            self._validate_scheme(self.init_scheme, space)
+        self._validate_scheme(self.init_scheme, space)
 
     def _validate_scheme(self, scheme: str, space: DecisionSpace) -> None:
         n_p, n_d = int(self.n_probes), space.n_dims
@@ -167,22 +168,6 @@ def _read_json(name: str, kind, value):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"cfo.{name}: must be an integer")
     return kind(value)
-
-
-@dataclass
-class RunState:
-    """Mutable state of one run()."""
-
-    positions: np.ndarray
-    positions_prev: np.ndarray
-    accelerations: np.ndarray
-    fitness: np.ndarray
-    best_fitness_so_far: float
-    best_probe: int  # 1-based
-    best_step: int
-    best_position: np.ndarray
-    saved_best: np.ndarray
-    frep_current: float
 
 
 @dataclass
@@ -306,14 +291,6 @@ def retrieve_errant_probes(
     out = np.where(raw < lo, lo + frep * (prev - lo), raw)
     out = np.where(raw > hi, hi - frep * (hi - prev), out)
     return np.clip(out, lo, hi)
-
-
-def saved_slot_index(j: int, n_saved: int) -> int:
-    """Ring slot for step j, in 1..n_saved (remainder 0 maps to n_saved)."""
-    if j < 1:
-        raise ValueError("slot index defined for steps j >= 1")
-    s = j % n_saved
-    return n_saved if s == 0 else s
 
 
 def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> float:
@@ -463,14 +440,18 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
         keep_history: bool = False) -> RunRecord:
     """Execute one optimization run and return its record.
 
-    Every probe starts from rest (zero acceleration), so step 1 re-evaluates
-    the initial layout. Per step: advance positions, retrieve escapees,
-    evaluate all probes in one objective batch (rows in ascending probe
-    order), update the best bookkeeping and the saved-best ring, update the
-    repositioning factor, compute the next accelerations, then record
-    diagnostics. Runs to n_steps, or stops at the first fitness saturation
-    when early_termination is on. keep_history also keeps every step's
-    fitnesses and positions in the record (in memory only).
+    Step 0 evaluates the initial layout and fills the saved-best ring with
+    its best. Every probe starts from rest (zero acceleration), so step 1
+    re-evaluates that layout. Step j >= 1 advances the positions, retrieves
+    escapees, evaluates all probes in one objective batch (rows in ascending
+    probe order), and folds the values into the running best; when the best
+    moved, it goes into ring slot (j - 1) % n_saved. Then the repositioning
+    factor is updated and the next accelerations computed. Every step, step
+    0 included, records the same diagnostics; n_eval and steps_executed
+    follow from the series length. Runs to n_steps, or stops at the first
+    fitness saturation when early_termination is on. keep_history also
+    keeps every step's fitnesses and positions in the record (in memory
+    only).
     """
     cfg.validate(space)
     n_p, n_d = int(cfg.n_probes), space.n_dims
@@ -496,72 +477,41 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
     positions = init_probes(cfg.init_scheme, space, cfg)
     work = np.empty((n_p, n_p, n_d))
     accelerations = np.zeros((n_p, n_d))
+    frep = float(cfg.frep_init)
+    cum_best, step_best, best_probes, davg_series, frep_series = [], [], [], [], []
+    fit_hist, pos_hist = [], []
+
+    def record_step() -> None:
+        cum_best.append(best_v)
+        step_best.append(float(fitness.max()))
+        best_probes.append(best_p)
+        davg_series.append(d_avg(positions, best_x, space))
+        frep_series.append(frep)
+        if keep_history:
+            fit_hist.append(fitness.copy())
+            pos_hist.append(positions.copy())
+
     fitness = evaluate_all(positions, 0)
-
-    state = RunState(
-        positions=positions,
-        positions_prev=positions.copy(),
-        accelerations=accelerations,
-        fitness=fitness,
-        best_fitness_so_far=-math.inf,
-        best_probe=1,
-        best_step=0,
-        best_position=positions[0].copy(),
-        saved_best=np.empty(cfg.n_saved),
-        frep_current=float(cfg.frep_init),
-    )
-
-    def absorb_step_fitness(step: int) -> bool:
-        """Fold this step's fitnesses into the best bookkeeping; True when it moved."""
-        best_v, taker = _absorb_row(state.fitness, state.best_fitness_so_far)
-        if taker < 0:
-            return False
-        state.best_fitness_so_far = float(best_v)
-        state.best_probe = taker + 1
-        state.best_step = step
-        state.best_position = state.positions[taker].copy()
-        return True
-
-    absorb_step_fitness(0)
-    state.saved_best.fill(state.best_fitness_so_far)
-
-    cum_best = [state.best_fitness_so_far]
-    step_best = [float(fitness.max())]
-    best_probe_series = [state.best_probe]
-    davg_series = [d_avg(positions, state.best_position, space)]
-    frep_series = [state.frep_current]
-    n_eval_series = [n_p]
-    fit_hist = [fitness.copy()] if keep_history else None
-    pos_hist = [positions.copy()] if keep_history else None
+    row_best, taker = _absorb_row(fitness, -math.inf)
+    best_v, best_p, best_step, best_x = float(row_best), taker + 1, 0, positions[taker].copy()
+    saved = np.full(cfg.n_saved, best_v)
+    record_step()
 
     reason = "CompletedNt"
-    last_step = 0
-
     for j in range(1, int(cfg.n_steps) + 1):
-        raw = advance_positions(state.positions, state.accelerations, cfg.delta_t)
-        state.positions_prev = state.positions
-        state.positions = retrieve_errant_probes(raw, state.positions_prev,
-                                                 space, state.frep_current)
-        if not space.contains(state.positions):
+        raw = advance_positions(positions, accelerations, cfg.delta_t)
+        positions = retrieve_errant_probes(raw, positions, space, frep)
+        if not space.contains(positions):
             raise InvariantError(f"probe escaped containment at step {j}")
 
-        state.fitness = evaluate_all(state.positions, j)
-        if absorb_step_fitness(j):
-            state.saved_best[saved_slot_index(j, cfg.n_saved) - 1] = state.best_fitness_so_far
-        state.frep_current = update_frep(state.saved_best, state.frep_current, cfg)
-        state.accelerations = compute_accelerations(state.positions, state.fitness,
-                                                    cfg, space, work)
-
-        cum_best.append(state.best_fitness_so_far)
-        step_best.append(float(state.fitness.max()))
-        best_probe_series.append(state.best_probe)
-        davg_series.append(d_avg(state.positions, state.best_position, space))
-        frep_series.append(state.frep_current)
-        n_eval_series.append((j + 1) * n_p)
-        if keep_history:
-            fit_hist.append(state.fitness.copy())
-            pos_hist.append(state.positions.copy())
-        last_step = j
+        fitness = evaluate_all(positions, j)
+        row_best, taker = _absorb_row(fitness, best_v)
+        if taker >= 0:
+            best_v, best_p, best_step, best_x = float(row_best), taker + 1, j, positions[taker].copy()
+            saved[(j - 1) % cfg.n_saved] = best_v
+        frep = update_frep(saved, frep, cfg)
+        accelerations = compute_accelerations(positions, fitness, cfg, space, work)
+        record_step()
 
         if cfg.early_termination and detect_fitness_saturation(step_best, j, cfg):
             reason = "FitnessSaturated"
@@ -575,17 +525,17 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
         bounds=space.bounds_list(),
         best_fitness=cum_best,
         step_best_fitness=step_best,
-        best_probe=best_probe_series,
+        best_probe=best_probes,
         d_avg=davg_series,
         frep=frep_series,
-        n_eval=n_eval_series,
-        best_point=state.best_position.copy(),
-        final_best_fitness=state.best_fitness_so_far,
-        final_best_probe=state.best_probe,
-        final_best_step=state.best_step,
+        n_eval=[(j + 1) * n_p for j in range(len(cum_best))],
+        best_point=best_x,
+        final_best_fitness=best_v,
+        final_best_probe=best_p,
+        final_best_step=best_step,
         saturation_step=sat,
         termination_reason=reason,
-        steps_executed=last_step,
+        steps_executed=len(cum_best) - 1,
         fitness_history=np.asarray(fit_hist) if keep_history else None,
         positions_history=np.asarray(pos_hist) if keep_history else None,
     )

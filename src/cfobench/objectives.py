@@ -184,11 +184,6 @@ def _pbm5_power(x):
     return key, _folded(antenna.octant_power, _collinear_pattern, x)
 
 
-def _pbm5_steering(rows):
-    # one scalar pattern call per row, broadside at theta = pi/2, phi = 0
-    return np.array([_collinear_pattern(x)(np.float64(math.pi / 2), np.float64(0.0)) for x in rows])
-
-
 def _antenna_factory(power, steering, bounds):
     """Directivity per row, with the bits of antenna.directivity: each row's
     power goes through radiated_power with its power key (a cache hit on a
@@ -243,7 +238,12 @@ def _make_pbm3(obj_id) -> Objective:
 def _make_pbm5(obj_id, n_elements=10) -> Objective:
     if not isinstance(n_elements, (int, np.integer)) or n_elements < 2:
         raise ObjectiveError("pbm5: n_elements must be an integer >= 2")
-    return _antenna_factory(_pbm5_power, _pbm5_steering, [(0.5, 1.5)] * (n_elements - 1))(obj_id)
+    # at broadside (theta = pi/2, phi = 0) ry is exactly 0 and every element
+    # sits on the y axis, so each element phase is a signed zero and |F|
+    # depends on the element count only: one pattern call serves every row
+    amp = _collinear_pattern(np.ones(n_elements - 1))(np.float64(math.pi / 2), np.float64(0.0))
+    return _antenna_factory(_pbm5_power, lambda rows: np.full(len(rows), amp),
+                            [(0.5, 1.5)] * (n_elements - 1))(obj_id)
 
 
 def _make_pbm4(obj_id, /, **_options):
@@ -327,33 +327,34 @@ def list_objectives() -> list:
 def get_objective(obj_id: str, /, **options) -> Objective:
     """Build a registered objective; a noise option wraps it in Gaussian noise.
 
-    noise = {"seed": int, "sigma": float, "mu": float}, with NoiseState's
-    sigma and mu as the defaults; any noise that is not None is a request
-    and must have that form. An option the id's factory does not take is an
+    obj_id is looked up exactly as list_objectives() spells it. noise =
+    {"seed": int, "sigma": float, "mu": float}, with NoiseState's sigma and
+    mu as the defaults; any noise that is not None is a request and must
+    have that form. An option the id's factory does not take is an
     ObjectiveError.
     """
-    key = str(obj_id).strip().lower()
-    factory = REGISTRY.get(key)
+    factory = REGISTRY.get(obj_id)
     if factory is None:
-        raise ObjectiveError(f"unknown objective id {obj_id!r}")
+        raise ObjectiveError(f"unknown objective id {obj_id!r}; "
+                             f"expected one of {', '.join(list_objectives())}")
     noise_opt = options.pop("noise", None)
     params = list(inspect.signature(factory).parameters.values())[1:]  # after the id
     unknown = sorted(set(options) - {p.name for p in params})
     if unknown and not any(p.kind is p.VAR_KEYWORD for p in params):
-        raise ObjectiveError(f"{key}: unknown options {unknown}")
+        raise ObjectiveError(f"{obj_id}: unknown options {unknown}")
     if noise_opt is not None:
-        if key == "external":
+        if obj_id == "external":
             raise ObjectiveError("external: noise is not supported; add it in the evaluator")
         if not (isinstance(noise_opt, dict) and "seed" in noise_opt
                 and set(noise_opt) <= {"seed", "sigma", "mu"}):
-            raise ObjectiveError(f"{key}: noise must be an object with a seed and optional sigma, mu")
+            raise ObjectiveError(f"{obj_id}: noise must be an object with a seed and optional sigma, mu")
         noise = {"sigma": NoiseState.sigma, "mu": NoiseState.mu, **noise_opt}
         if isinstance(noise["seed"], bool) or not isinstance(noise["seed"], int):
-            raise ObjectiveError(f"{key}: noise.seed must be an integer")
+            raise ObjectiveError(f"{obj_id}: noise.seed must be an integer")
         for name in ("sigma", "mu"):
             if isinstance(noise[name], bool) or not isinstance(noise[name], (int, float)):
-                raise ObjectiveError(f"{key}: noise.{name} must be a number")
-    obj = factory(key, **options)
+                raise ObjectiveError(f"{obj_id}: noise.{name} must be a number")
+    obj = factory(obj_id, **options)
     if noise_opt is not None:
         obj = with_noise(obj, sigma=float(noise["sigma"]), seed=noise["seed"],
                          mu=float(noise["mu"]))

@@ -254,14 +254,15 @@ def _bare(obj_id, x, ring):
 
 
 @pytest.mark.parametrize("obj_id,options", [("pbm1", {}), ("pbm2", {}), ("pbm3", {}),
-                                            ("pbm5", {"n_elements": 6}), ("pbm5", {})])
+                                            ("pbm5", {"n_elements": 6}), ("pbm5", {}),
+                                            ("pbm5", {"n_elements": 2}), ("pbm5", {"n_elements": 3})])
 def test_antenna_batches_are_the_directivity_bit_for_bit(obj_id, options):
     # one batch over a grid (so power keys repeat within it) against an
     # uncached antenna.directivity call per row on the bare pattern
     obj = get_objective(obj_id, **options)
     lo, hi = obj.bounds.lower, obj.bounds.upper
     if obj_id == "pbm5":
-        rows = lo + np.random.default_rng(11).random((4, obj.n_dims)) * (hi - lo)
+        rows = lo + np.random.default_rng(11).random((12, obj.n_dims)) * (hi - lo)
         rows = np.vstack([rows, rows[:1]])
     else:
         grid = np.meshgrid(np.linspace(lo[0], hi[0], 21), np.linspace(lo[1], hi[1], 11),

@@ -477,6 +477,7 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
     ({"id": "external", "options": dict(QUADRATIC, noise={})}, [],
      "external: noise is not supported"),
     ({"id": "gp", "options": {"noise": False}}, ["--seed", "4"], "gp: noise must be an object with a seed"),
+    (" GP ", [], f"unknown objective id ' GP '; expected one of {', '.join(list_objectives())}"),
 ])
 def test_bad_objective_options_exit_2(tmp_path, capsys, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)

@@ -16,7 +16,6 @@ from cfobench.engine import (
     detect_oscillation,
     init_probes,
     retrieve_errant_probes,
-    saved_slot_index,
     update_frep,
 )
 from cfobench.space import DecisionSpace
@@ -97,12 +96,6 @@ def test_retrieve_errant_probes():
     mid = retrieve_errant_probes(np.array([[0.7]]), np.array([[0.4]]), space, 0.5)
     assert mid[0, 0] == 0.7
     assert space.contains(low) and space.contains(high)
-
-
-def test_saved_slot_index():
-    assert saved_slot_index(5, 5) == 5
-    assert saved_slot_index(7, 5) == 2
-    assert saved_slot_index(1, 5) == 1
 
 
 def test_update_frep_increments_on_flat_ring():

@@ -98,6 +98,39 @@ def test_best_fitness_agrees_with_the_run_on_plateaus():
     assert np.array_equal(rec.best_point, rec.positions_history[steps[-1], probes[-1]])
 
 
+def test_saved_best_ring_and_frep_replay_from_the_fitness_history():
+    # the running best (>=, probes in order), the ring (step j >= 1 writes
+    # slot j mod n_saved, remainder 0 meaning the last slot, whenever the
+    # best moved) and the update_frep rule, replayed in plain Python
+    obj = get_objective("gp")
+    cfg = CfoConfig(n_probes=8, n_steps=200, gamma=0.3)
+    rec = run(cfg, obj.bounds, obj, keep_history=True)
+    best, probe, frep = -math.inf, 0, cfg.frep_init
+    bests, probes, freps = [], [], []
+    for j, row in enumerate(rec.fitness_history.tolist()):
+        moved = False
+        for p, v in enumerate(row):
+            if v >= best:
+                best, probe, moved = v, p + 1, True
+        if j == 0:
+            ring = [best] * cfg.n_saved
+        else:
+            if moved:
+                ring[(j % cfg.n_saved or cfg.n_saved) - 1] = best
+            tail = ring[cfg.n_saved - cfg.n_sat:]
+            if abs(ring[-1] - sum(tail) / len(tail)) <= cfg.fit_tol:
+                frep += cfg.frep_increment
+                if frep >= 1.0:
+                    frep = cfg.frep_init
+        bests.append(best)
+        probes.append(probe)
+        freps.append(frep)
+    assert sum(a != b for a, b in zip(freps, freps[1:])) >= 2
+    assert rec.frep == freps
+    assert rec.best_fitness == bests
+    assert rec.best_probe == probes
+
+
 def test_record_serialization_schema():
     cfg = CfoConfig(n_probes=4, n_steps=8)
     rec = run(cfg, UNIT_BOX, quad_objective)

@@ -136,11 +136,12 @@ def test_out_of_domain_points_stay_finite():
     assert math.isfinite(gp.evaluate([50.0, -50.0]))
 
 
-def test_ids_are_case_insensitive():
-    assert get_objective("GP").id == "gp"
-    assert get_objective("  Sgo ").id == "sgo"
-    with pytest.raises(ObjectiveError, match="unknown objective id"):
-        get_objective("rosenbrock99")
+@pytest.mark.parametrize("obj_id", ["GP", "  Sgo ", "rosenbrock99"])
+def test_ids_are_exact(obj_id):
+    with pytest.raises(ObjectiveError) as info:
+        get_objective(obj_id)
+    assert str(info.value) == (f"unknown objective id {obj_id!r}; "
+                               f"expected one of {', '.join(list_objectives())}")
 
 
 def test_registry_listing():
