@@ -19,11 +19,13 @@ sphere_mesh. radiated_power sums all nodes unless the caller hands it an
 exact cheaper form of that sum: axisymmetric_power for patterns that do not
 depend on phi (one node per theta row, folded in numpy's own pairwise
 summation order, so the result is the full sum's bits), octant_power for
-patterns even under the three coordinate reflections (1/8 of the nodes), or
-CouplingMatrix.power for a fixed planar array whose excitations vary
-(Re(e^H K e), an N x N product once K is built). radiated_power calls the
-form only on a power-cache miss, so a form that builds its pattern when
-called builds it only then.
+patterns even under the three coordinate reflections (1/8 of the nodes),
+CollinearPower.power for y-dipoles strung on the y axis (octant_power's
+bits from the octant's upper triangle, about 1/16 of the nodes, when
+n_phi = 2 n_theta), or CouplingMatrix.power for a fixed planar array whose
+excitations vary (Re(e^H K e), an N x N product once K is built).
+radiated_power calls the form only on a power-cache miss, so a form that
+builds its pattern when called builds it only then.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
 spacings that broadcast with theta, so a batch of steering amplitudes is
@@ -320,6 +322,58 @@ class CouplingMatrix:
         if k is None:
             k = self._k[(n_theta, n_phi)] = self._build(n_theta, n_phi)
         return float(np.sum(np.real(np.conj(excitations)[:, None] * k * excitations[None, :])))
+
+
+class CollinearPower:
+    """octant_power(array_pattern(spec)), bit for bit, for dipoles along y
+    strung on the y axis, from the upper triangle of the octant.
+
+    Such a pattern reaches a node only through ry = sin(theta) sin(phi). When
+    n_phi = 2 n_theta the octant's theta and phi midpoint nodes are the same
+    floats, so ry, and with it |F|, is the same at octant nodes (i, k) and
+    (k, i). power() evaluates the array factor with array_pattern's arithmetic
+    on the q(q+1)/2 nodes with i <= k of the q x q octant, mirrors them into
+    the octant and sums it with octant_power's expression. The triangle's ry,
+    its element factor and the mirror index do not depend on the array; they
+    are built on the first power() call for a mesh and kept by this instance.
+    Any other mesh raises ValueError. As for octant_power, the result is the
+    full sphere's sum only if |F| is even in ry, as with real excitations.
+    """
+
+    def __init__(self):
+        self._tables = {}
+
+    def _build(self, n_theta: int, n_phi: int):
+        if n_theta % 2 or n_phi != 2 * n_theta:
+            raise ValueError(
+                f"the triangle fold needs an even n_theta and n_phi = 2 n_theta, "
+                f"got {n_theta} x {n_phi}"
+            )
+        q = n_theta // 2
+        th, ph, sin_th = sphere_mesh(n_theta, n_phi)
+        # array_pattern's ry on the octant; its cos_psi there is ry exactly,
+        # because rx and cos(theta) are positive and meet zero axis components
+        ry = np.sin(th[:q]) * np.sin(ph[:, :q])
+        upper = np.triu_indices(q)
+        mirror = np.empty((q, q), dtype=np.int32)
+        mirror[upper] = mirror.T[upper] = np.arange(len(upper[0]))
+        return ry[upper], _element_factor(ELEMENT_LENGTH, ry)[upper], mirror, sin_th[:q]
+
+    def power(self, spec: ArraySpec, n_theta: int, n_phi: int) -> float:
+        pos, exc = spec.positions, spec.excitations
+        if np.any(pos[:, ::2] != 0.0) or np.any(spec.axis != (0.0, 1.0, 0.0)):
+            raise ValueError("triangle fold: the array must be y dipoles on the y axis")
+        tables = self._tables.get((n_theta, n_phi))
+        if tables is None:
+            tables = self._tables[(n_theta, n_phi)] = self._build(n_theta, n_phi)
+        ry, elem, mirror, sin_th = tables
+        af = np.zeros(len(ry), dtype=complex)
+        for n in range(len(pos)):
+            # array_pattern also adds rx * x and rz * z, both zero here
+            phase = TWO_PI * (ry * pos[n, 1])
+            af += exc[n] * np.exp(1j * phase)
+        f = np.take(np.abs(af) * elem, mirror)
+        return 8.0 * float(np.sum(f * f * sin_th) * (math.pi / n_theta) * (TWO_PI / n_phi))
 
 
 def radiated_power(

@@ -173,17 +173,6 @@ def _pbm2_steering(rows):
     return antenna.uniform_line_field(rows[:, 0], 10, rows[:, 1], math.pi / 2)
 
 
-def _collinear_pattern(spacings):
-    return antenna.array_pattern(antenna.collinear_array_spec(spacings))
-
-
-def _pbm5_power(x):
-    # in-phase y-dipoles on the y axis: |F| depends on sin(theta) sin(phi) only,
-    # and is even in it because the excitations are real
-    key = ("pbm5",) + tuple(float(v) for v in x)
-    return key, _folded(antenna.octant_power, _collinear_pattern, x)
-
-
 def _antenna_factory(power, steering, bounds):
     """Directivity per row, with the bits of antenna.directivity: each row's
     power goes through radiated_power with its power key (a cache hit on a
@@ -241,8 +230,19 @@ def _make_pbm5(obj_id, n_elements=10) -> Objective:
     # at broadside (theta = pi/2, phi = 0) ry is exactly 0 and every element
     # sits on the y axis, so each element phase is a signed zero and |F|
     # depends on the element count only: one pattern call serves every row
-    amp = _collinear_pattern(np.ones(n_elements - 1))(np.float64(math.pi / 2), np.float64(0.0))
-    return _antenna_factory(_pbm5_power, lambda rows: np.full(len(rows), amp),
+    broadside = antenna.array_pattern(antenna.collinear_array_spec(np.ones(n_elements - 1)))
+    amp = broadside(np.float64(math.pi / 2), np.float64(0.0))
+    # in-phase y-dipoles on the y axis: |F| depends on sin(theta) sin(phi) only,
+    # and is even in it because the excitations are real; the triangle tables
+    # are built on the first miss
+    stack = antenna.CollinearPower()
+
+    def power(x):
+        key = ("pbm5",) + tuple(float(v) for v in x)
+        return key, lambda n_theta, n_phi: stack.power(
+            antenna.collinear_array_spec(x), n_theta, n_phi)
+
+    return _antenna_factory(power, lambda rows: np.full(len(rows), amp),
                             [(0.5, 1.5)] * (n_elements - 1))(obj_id)
 
 

@@ -185,10 +185,11 @@ def test_degenerate_pattern_raises():
 
 @pytest.mark.parametrize("n_theta,n_phi,n_points", [(256, 512, 3), (512, 1024, 2)])
 def test_same_node_power_forms_match_the_full_mesh_sum(n_theta, n_phi, n_points):
-    # the octant fold (pbm2, pbm5) and the ring coupling matrix (pbm3) sum the
-    # same midpoint nodes as the plain sum; only rounding may differ
+    # the octant fold (pbm2), its triangle (pbm5) and the ring coupling matrix
+    # (pbm3) sum the same midpoint nodes as the plain sum; only rounding may differ
     rng = np.random.default_rng(20261018)
     ring = antenna.CouplingMatrix(circular_array_spec(0.0))
+    triangle = antenna.CollinearPower()
     cases = []
     for _ in range(n_points):
         line = uniform_line_pattern(rng.uniform(5.0, 15.0), 10)
@@ -196,8 +197,10 @@ def test_same_node_power_forms_match_the_full_mesh_sum(n_theta, n_phi, n_points)
         spec = circular_array_spec(rng.uniform(0.0, 4.0))
         cases.append((array_pattern(spec), ring.power(spec.excitations, n_theta, n_phi)))
         for n_elements in (6, 10):
-            stack = array_pattern(collinear_array_spec(rng.uniform(0.5, 1.5, n_elements - 1)))
+            spec = collinear_array_spec(rng.uniform(0.5, 1.5, n_elements - 1))
+            stack = array_pattern(spec)
             cases.append((stack, antenna.octant_power(stack, n_theta, n_phi)))
+            cases.append((stack, triangle.power(spec, n_theta, n_phi)))
     for pattern, power in cases:
         assert power == pytest.approx(radiated_power(pattern, n_theta, n_phi), rel=1e-11)
 
@@ -234,6 +237,22 @@ def test_phi_fold_is_the_full_mesh_sum_bit_for_bit(n_theta, n_phi, n_lengths):
                 == radiated_power(dipole, n_theta, n_phi)), length
     flat = lambda th, ph: np.ones(np.broadcast(th, ph).shape)
     assert antenna.axisymmetric_power(flat, n_theta, n_phi) == radiated_power(flat, n_theta, n_phi)
+
+
+@pytest.mark.parametrize("n_theta,n_phi,n_random", [(256, 512, 300), (512, 1024, 40)])
+def test_triangle_fold_is_the_octant_sum_bit_for_bit(n_theta, n_phi, n_random):
+    # ==, not approx: the mirrored triangle holds the octant's |F| bits
+    rng = np.random.default_rng(20261020)
+    stacks = [rng.uniform(0.5, 1.5, rng.integers(1, 10)) for _ in range(n_random)]
+    # equal spacings; with an odd count the middle element sits at y = 0, so
+    # its phase is a signed zero
+    stacks += [np.full(n - 1, d) for n in range(2, 11) for d in (0.5, 1.0, 1.37)]
+    assert 0.0 in collinear_array_spec(np.full(8, 1.37)).positions[:, 1]
+    triangle = antenna.CollinearPower()
+    for spacings in stacks:
+        spec = collinear_array_spec(spacings)
+        assert (triangle.power(spec, n_theta, n_phi)
+                == antenna.octant_power(array_pattern(spec), n_theta, n_phi)), spacings
 
 
 def _bare(obj_id, x, ring):
@@ -285,6 +304,13 @@ def test_same_node_forms_reject_meshes_they_cannot_fold():
     for n_theta, n_phi in ((255, 512), (256, 510)):
         with pytest.raises(ValueError, match="octant fold"):
             antenna.octant_power(line, n_theta, n_phi)
+    triangle = antenna.CollinearPower()
+    stack = collinear_array_spec([0.7, 1.2])
+    for n_theta, n_phi in ((256, 256), (256, 1024), (255, 510)):
+        with pytest.raises(ValueError, match="triangle fold"):
+            triangle.power(stack, n_theta, n_phi)
+    with pytest.raises(ValueError, match="y dipoles on the y axis"):
+        triangle.power(linear_array_spec(0.7, 3), 256, 512)
     ring = antenna.CouplingMatrix(circular_array_spec(0.0))
     with pytest.raises(ValueError, match="even n_theta"):
         ring.power(circular_array_spec(0.5).excitations, 255, 512)

@@ -8,13 +8,14 @@
 every benchmark operation of perfbench/workloads.py at seeds 0 and 1 at
 full size, plus the extra runs and oracles below: every init scheme, noise,
 an external child, early termination, a --seed override sweep, a noisy
-`pbm1` run, 10- and 3-element `pbm5` runs, a `pbm3` oracle finer than the
-benchmark's, a 3-run `pbm3` gamma sweep (each run builds its own ring and
-coupling matrix), and the history outputs the benchmark leaves out (probe
-snapshots alone in 2-D and in 3-D, where none are written, and a sweep with
-trajectories). `diff` compares the two output trees file by file (the configs
-name their own directory, so the first tree's path is replaced by the
-second's) and exits 1 when any file differs.
+`pbm1` run, 10- and 3-element `pbm5` runs, a 2-element `pbm5` oracle over
+401 spacings (each a distinct geometry, so each a power miss), a `pbm3`
+oracle finer than the benchmark's, a 3-run `pbm3` gamma sweep (each run
+builds its own ring and coupling matrix), and the history outputs the
+benchmark leaves out (probe snapshots alone in 2-D and in 3-D, where none
+are written, and a sweep with trajectories). `diff` compares the two output
+trees file by file (the configs name their own directory, so the first
+tree's path is replaced by the second's) and exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
 EXTRA_ORACLES = {  # name: (objective, resolution)
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
     "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, [2] * 5),
+    "pbm5_2": ({"id": "pbm5", "options": {"n_elements": 2}}, [401]),
     "external": (EXTERNAL, [5, 5, 5]),
     "pbm3_fine": ("pbm3", [81, 41]),
 }
