@@ -1,11 +1,11 @@
 """Repository acceptance suite.
 
 Twelve numbered criteria cover the engine, the antenna surrogates, the
-harness, and the external protocol. Each criterion function returns a
-CriterionResult; run_all executes them in order and prints one PASS/FAIL
-line apiece, ending in the criterion's wall time. `cfo-bench verify` and
-tests/test_acceptance.py both drive this module, so the checks live here
-once.
+harness, and the external protocol. Each criterion function returns
+(passed, detail); CRITERIA gives it its number and name, and run_all
+executes them in order and prints one PASS/FAIL line apiece, ending in the
+criterion's wall time. `cfo-bench verify` and tests/test_acceptance.py both
+drive this module, so the checks live here once.
 
 Benchmark reference values (target optima, directivity levels, step
 budgets) are frozen in constants near the top; the oracle side of every
@@ -24,9 +24,9 @@ import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .engine import (
     uniform_lattice_points,
 )
 from .objectives import get_objective
-from .oracle import grid_oracle, refine
+from .oracle import OracleResult, grid_oracle, refine
 from .rng import NoiseState, SplitMix64, gaussian_batch
 from .space import DecisionSpace
 
@@ -59,6 +59,12 @@ CIRCULAR_ORACLE_RESOLUTION = (321, 161)
 CIRCULAR_TARGET_VALUE = 6.15
 COLLINEAR_TARGET_VALUE = {6: 11.22, 10: 19.10}
 COLLINEAR_SPACING_WINDOW = (0.96, 1.01)
+# (id, fitness floor, known optimum or None, allowed distance from it)
+ANALYTIC_TARGETS = (
+    ("gp", -3.01, (0.0, -1.0), 0.05),
+    ("himmelblau", 199.9, None, None),
+    ("parrott_f4", 0.999, None, None),
+)
 
 # -- benchmark run settings (tuned; documented in the README) ---------------
 
@@ -79,6 +85,9 @@ NOISY_SEED = 7
 CIRCULAR_RUN_STEPS = 200
 CIRCULAR_RUN_GAMMA = 0.0
 COLLINEAR_RUN_STEPS = 40
+
+
+Verdict = Tuple[bool, str]  # what a criterion returns: (passed, detail)
 
 
 @dataclass
@@ -102,6 +111,11 @@ def _rel_err(a, b) -> float:
 
 def _within_pct(value: float, target: float, pct: float) -> bool:
     return abs(value - target) <= (pct / 100.0) * abs(target)
+
+
+def _write_config(path: Path, doc: dict) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +172,12 @@ def naive_engine_step(positions, fitness, accelerations, cfg, space, frep):
 
 
 # ---------------------------------------------------------------------------
-# shared benchmark runs and oracles (cached; criterion 2 reruns them fresh)
+# shared benchmark runs (cached; criterion 2 reruns every one fresh)
 
 
 @lru_cache(maxsize=None)
-def _objective(obj_id: str):
-    return get_objective(obj_id)
+def _objective(obj_id: str, **options):
+    return get_objective(obj_id, **options)
 
 
 def _run_analytic(func_id: str, gamma: float) -> RunRecord:
@@ -192,7 +206,6 @@ def _analytic_sweep(func_id: str):
     return best, best_gamma, slowest
 
 
-@lru_cache(maxsize=None)
 def _dipole_run() -> RunRecord:
     objective = _objective("pbm1")
     cfg = CfoConfig(
@@ -205,17 +218,8 @@ def _dipole_run() -> RunRecord:
     return run(cfg, objective.bounds, objective)
 
 
-@lru_cache(maxsize=None)
-def _dipole_oracle():
-    return grid_oracle(_objective("pbm1"), resolution=DIPOLE_ORACLE_RESOLUTION)
-
-
-@lru_cache(maxsize=None)
-def _linear_run(noisy: bool) -> RunRecord:
-    if noisy:
-        objective = get_objective("pbm2", noise={"seed": NOISY_SEED})
-    else:
-        objective = _objective("pbm2")
+def _linear_run(noise: Optional[dict]) -> RunRecord:
+    objective = get_objective("pbm2", noise=noise)
     space = objective.bounds
     cfg = CfoConfig(
         n_probes=LINEAR_LATTICE[0] * LINEAR_LATTICE[1],
@@ -226,21 +230,6 @@ def _linear_run(noisy: bool) -> RunRecord:
     return run(cfg, space, objective)
 
 
-@lru_cache(maxsize=None)
-def _linear_oracle():
-    objective = _objective("pbm2")
-    grid = grid_oracle(objective, resolution=LINEAR_ORACLE_RESOLUTION)
-    sharpened = refine(
-        objective,
-        center=grid.argmax,
-        half_widths=(0.06, math.pi / 90),
-        levels=3,
-        n_points=21,
-    )
-    return grid, sharpened
-
-
-@lru_cache(maxsize=None)
 def _circular_run() -> RunRecord:
     objective = _objective("pbm3")
     cfg = CfoConfig(
@@ -252,50 +241,8 @@ def _circular_run() -> RunRecord:
     return run(cfg, objective.bounds, objective)
 
 
-@lru_cache(maxsize=None)
-def _circular_oracle():
-    objective = _objective("pbm3")
-    grid = grid_oracle(objective, resolution=CIRCULAR_ORACLE_RESOLUTION)
-    sharpened = refine(
-        objective,
-        center=grid.argmax,
-        half_widths=(0.015, math.pi / 160),
-        levels=3,
-        n_points=21,
-    )
-    return grid, sharpened
-
-
-@lru_cache(maxsize=None)
-def _collinear_objective(n_elements: int):
-    return get_objective("pbm5", n_elements=n_elements)
-
-
-@lru_cache(maxsize=None)
-def _collinear_sweep(n_elements: int):
-    """Uniform-spacing 1-D sweep: all inter-element gaps share one value."""
-    objective = _collinear_objective(n_elements)
-    n_gaps = n_elements - 1
-
-    def uniform(x):
-        return objective.evaluate([float(x[0])] * n_gaps)
-
-    bounds = [(0.5, 1.5)]
-    grid = grid_oracle(uniform, bounds=bounds, resolution=201)
-    sharpened = refine(
-        uniform,
-        center=grid.argmax,
-        half_widths=0.006,
-        levels=3,
-        n_points=21,
-        bounds=bounds,
-    )
-    return grid, sharpened
-
-
-@lru_cache(maxsize=None)
 def _collinear_run(n_elements: int) -> RunRecord:
-    objective = _collinear_objective(n_elements)
+    objective = _objective("pbm5", n_elements=n_elements)
     space = objective.bounds
     cfg = CfoConfig(
         n_probes=2 * space.n_dims,
@@ -306,11 +253,49 @@ def _collinear_run(n_elements: int) -> RunRecord:
     return run(cfg, space, objective)
 
 
+SHARED_RUNS: Dict[str, Callable[[], RunRecord]] = {
+    "dipole": _dipole_run,
+    "linear": partial(_linear_run, None),
+    "linear noisy": partial(_linear_run, {"seed": NOISY_SEED}),
+    "circular": _circular_run,
+    "collinear 6": partial(_collinear_run, 6),
+    "collinear 10": partial(_collinear_run, 10),
+}
+
+
+@lru_cache(maxsize=None)
+def _shared_run(name: str) -> RunRecord:
+    return SHARED_RUNS[name]()
+
+
+def _dipole_saturation_step() -> Optional[int]:
+    """First step of the dipole run at which fitness saturation fires, or None."""
+    cfg = CfoConfig(n_probes=4, n_steps=DIPOLE_RUN_STEPS, n_avg_steps=10)
+    series = _shared_run("dipole").step_best_fitness
+    return next(
+        (j for j in range(len(series)) if detect_fitness_saturation(series, j, cfg)),
+        None,
+    )
+
+
+def _sharpened_oracle(objective, resolution, half_widths, bounds=None) -> OracleResult:
+    """Grid search, then three 21-point zooms around the grid's argmax."""
+    grid = grid_oracle(objective, bounds=bounds, resolution=resolution)
+    return refine(
+        objective,
+        center=grid.argmax,
+        half_widths=half_widths,
+        levels=3,
+        n_points=21,
+        bounds=bounds,
+    )
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> Verdict:
     rng = SplitMix64(414243)
     t0 = time.perf_counter()
     worst = 0.0
@@ -348,37 +333,24 @@ def criterion_1() -> CriterionResult:
         worst = max(worst, _rel_err(kept, ref_pos), _rel_err(engine_accel, ref_accel))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-12 and elapsed < 1.0
-    return CriterionResult(
-        1,
-        "engine step equivalence",
-        passed,
-        f"max relative error {worst:.3g} over 50 random instances in {elapsed:.2f} s",
+    return passed, (
+        f"max relative error {worst:.3g} over 50 random instances in {elapsed:.2f} s"
     )
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> Verdict:
     # the cached runs are shared with later criteria, so their build time is
     # reported apart from the time to rerun them. The rerun starts cold: a
     # fresh objective per run and an empty power cache, so every power
     # integral the runs need is computed again.
     t0 = time.perf_counter()
-    gp_best, gp_gamma, _ = _analytic_sweep("gp")
-    hb_best, hb_gamma, _ = _analytic_sweep("himmelblau")
-    pf_best, pf_gamma, _ = _analytic_sweep("parrott_f4")
-    cases: List[Tuple[str, RunRecord, Callable[[], RunRecord]]] = [
-        ("gp", gp_best, lambda: _run_analytic("gp", gp_gamma)),
-        ("himmelblau", hb_best, lambda: _run_analytic("himmelblau", hb_gamma)),
-        ("parrott_f4", pf_best, lambda: _run_analytic("parrott_f4", pf_gamma)),
-        ("dipole", _dipole_run(), _dipole_run.__wrapped__),
-        ("linear", _linear_run(False), lambda: _linear_run.__wrapped__(False)),
-        ("linear noisy", _linear_run(True), lambda: _linear_run.__wrapped__(True)),
-        ("circular", _circular_run(), _circular_run.__wrapped__),
-        ("collinear 6", _collinear_run(6), lambda: _collinear_run.__wrapped__(6)),
-        ("collinear 10", _collinear_run(10), lambda: _collinear_run.__wrapped__(10)),
-    ]
+    cases: List[Tuple[str, RunRecord, Callable[[], RunRecord]]] = []
+    for func_id, *_ in ANALYTIC_TARGETS:
+        best, gamma, _ = _analytic_sweep(func_id)
+        cases.append((func_id, best, partial(_run_analytic, func_id, gamma)))
+    cases += [(name, _shared_run(name), build) for name, build in SHARED_RUNS.items()]
     t1 = time.perf_counter()
     _objective.cache_clear()
-    _collinear_objective.cache_clear()
     antenna.clear_power_cache()
     mismatched = [
         name for name, cached, fresh in cases if cached.to_json() != fresh().to_json()
@@ -390,18 +362,13 @@ def criterion_2() -> CriterionResult:
         if passed
         else f"records differ for: {', '.join(mismatched)}"
     ) + f"; cached runs built in {t1 - t0:.1f} s, rerun in {t2 - t1:.1f} s"
-    return CriterionResult(2, "run determinism", passed, detail)
+    return passed, detail
 
 
-def criterion_3() -> CriterionResult:
-    checks = (
-        ("gp", -3.01, (0.0, -1.0), 0.05),
-        ("himmelblau", 199.9, None, None),
-        ("parrott_f4", 0.999, None, None),
-    )
+def criterion_3() -> Verdict:
     bits = []
     ok = True
-    for func_id, floor, point, radius in checks:
+    for func_id, floor, point, radius in ANALYTIC_TARGETS:
         record, gamma, slowest = _analytic_sweep(func_id)
         good = record.final_best_fitness >= floor and slowest < 5.0
         note = f"{func_id} best {record.final_best_fitness:.6g} (gamma {gamma:g})"
@@ -413,12 +380,12 @@ def criterion_3() -> CriterionResult:
             note += f", {dist:.4f} from the optimum"
         ok = ok and good
         bits.append(note + ("" if good else " [below target]"))
-    return CriterionResult(3, "analytic suite quality", ok, "; ".join(bits))
+    return ok, "; ".join(bits)
 
 
-def criterion_4() -> CriterionResult:
-    oracle = _dipole_oracle()
-    record = _dipole_run()
+def criterion_4() -> Verdict:
+    oracle = grid_oracle(_objective("pbm1"), resolution=DIPOLE_ORACLE_RESOLUTION)
+    record = _shared_run("dipole")
     space = _objective("pbm1").bounds
 
     d_len = abs(oracle.argmax[0] - DIPOLE_TARGET_POINT[0])
@@ -429,92 +396,81 @@ def criterion_4() -> CriterionResult:
     dist = float(np.linalg.norm(np.asarray(record.best_point) - oracle.argmax))
     point_ok = dist <= 0.02 * space.diag_length
 
-    cfg = CfoConfig(n_probes=4, n_steps=DIPOLE_RUN_STEPS, n_avg_steps=10)
-    series = record.step_best_fitness
-    fired_at = next(
-        (j for j in range(len(series)) if detect_fitness_saturation(series, j, cfg)),
-        None,
-    )
+    fired_at = _dipole_saturation_step()
     sat_ok = fired_at is not None and fired_at <= 40
 
     passed = oracle_ok and value_ok and point_ok and sat_ok
-    return CriterionResult(
-        4,
-        "dipole length-angle benchmark",
-        passed,
-        (
-            f"oracle argmax ({oracle.argmax[0]:.4f}, {oracle.argmax[1]:.4f}) "
-            f"value {oracle.value:.4f}; best point {dist:.4f} from argmax "
-            f"({0.02 * space.diag_length:.4f} allowed); saturation at step "
-            f"{fired_at}"
-        ),
+    return passed, (
+        f"oracle argmax ({oracle.argmax[0]:.4f}, {oracle.argmax[1]:.4f}) "
+        f"value {oracle.value:.4f}; best point {dist:.4f} from argmax "
+        f"({0.02 * space.diag_length:.4f} allowed); saturation at step "
+        f"{fired_at}"
     )
 
 
-def criterion_5() -> CriterionResult:
-    _grid, sharpened = _linear_oracle()
+def criterion_5() -> Verdict:
+    sharpened = _sharpened_oracle(
+        _objective("pbm2"), LINEAR_ORACLE_RESOLUTION, (0.06, math.pi / 90)
+    )
     theta_star = float(sharpened.argmax[1])
     theta_ok = abs(theta_star - math.pi / 2) <= 0.02
     value_ok = _within_pct(sharpened.value, LINEAR_TARGET_VALUE, 5.0)
 
-    clean = _linear_run(False)
+    clean = _shared_run("linear")
     clean_ok = _within_pct(clean.final_best_fitness, sharpened.value, 2.0)
 
-    noisy = _linear_run(True)
+    noisy = _shared_run("linear noisy")
     noisy_theta = float(noisy.best_point[1])
     noisy_ok = abs(noisy_theta - math.pi / 2) <= 0.1
 
     passed = theta_ok and value_ok and clean_ok and noisy_ok
-    return CriterionResult(
-        5,
-        "linear array benchmark",
-        passed,
-        (
-            f"oracle {sharpened.value:.4f} at theta {theta_star:.5f}; "
-            f"noiseless best {clean.final_best_fitness:.4f}; "
-            f"noisy best angle {noisy_theta:.5f}"
-        ),
+    return passed, (
+        f"oracle {sharpened.value:.4f} at theta {theta_star:.5f}; "
+        f"noiseless best {clean.final_best_fitness:.4f}; "
+        f"noisy best angle {noisy_theta:.5f}"
     )
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> Verdict:
     objective = _objective("pbm3")
     candidates = [objective.evaluate([i - 0.5, math.pi / 2]) for i in (1, 2, 3, 4)]
-    spread = _rel_err(
-        np.asarray(candidates[1:]), np.asarray(candidates[:-1])
-    )
+    spread = _rel_err(candidates[1:], candidates[:-1])
     equal_ok = all(
         _rel_err(candidates[i], candidates[0]) <= 1e-9 for i in range(1, 4)
     )
     value_ok = _within_pct(candidates[0], CIRCULAR_TARGET_VALUE, 10.0)
 
-    _grid, sharpened = _circular_oracle()
-    record = _circular_run()
+    sharpened = _sharpened_oracle(
+        objective, CIRCULAR_ORACLE_RESOLUTION, (0.015, math.pi / 160)
+    )
+    record = _shared_run("circular")
     cfo_ok = _within_pct(record.final_best_fitness, sharpened.value, 3.0)
 
     passed = equal_ok and value_ok and cfo_ok
-    return CriterionResult(
-        6,
-        "circular array benchmark",
-        passed,
-        (
-            f"steering candidates equal (spread {spread:.2g}) at "
-            f"{candidates[0]:.4f} vs target {CIRCULAR_TARGET_VALUE}"
-            f"{'' if value_ok else ' [surrogate level differs]'}; "
-            f"oracle {sharpened.value:.4f}, best {record.final_best_fitness:.4f}"
-        ),
+    return passed, (
+        f"steering candidates equal (spread {spread:.2g}) at "
+        f"{candidates[0]:.4f} vs target {CIRCULAR_TARGET_VALUE}"
+        f"{'' if value_ok else ' [surrogate level differs]'}; "
+        f"oracle {sharpened.value:.4f}, best {record.final_best_fitness:.4f}"
     )
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> Verdict:
     bits = []
     ok = True
-    for n_el in (6, 10):
-        _grid, sharpened = _collinear_sweep(n_el)
+    for n_el, target in COLLINEAR_TARGET_VALUE.items():
+        objective = _objective("pbm5", n_elements=n_el)
+        # uniform-spacing 1-D sweep: all inter-element gaps share one value
+        sharpened = _sharpened_oracle(
+            lambda x: objective.evaluate([float(x[0])] * (n_el - 1)),
+            201,
+            0.006,
+            bounds=[(0.5, 1.5)],
+        )
         d_star = float(sharpened.argmax[0])
         window_ok = COLLINEAR_SPACING_WINDOW[0] <= d_star <= COLLINEAR_SPACING_WINDOW[1]
-        value_ok = _within_pct(sharpened.value, COLLINEAR_TARGET_VALUE[n_el], 5.0)
-        record = _collinear_run(n_el)
+        value_ok = _within_pct(sharpened.value, target, 5.0)
+        record = _shared_run(f"collinear {n_el}")
         coords = np.asarray(record.best_point)
         near_ok = bool(np.all(np.abs(coords - d_star) <= 0.03))
         equal_ok = float(np.ptp(coords)) <= 1e-3
@@ -525,29 +481,23 @@ def criterion_7() -> CriterionResult:
             f"best spacings {coords.min():.4f}..{coords.max():.4f}"
             + ("" if good else " [out of window]")
         )
-    return CriterionResult(7, "collinear array benchmark", ok, "; ".join(bits))
+    return ok, "; ".join(bits)
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> Verdict:
     with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "sweep.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "objective": "sgo",
-                    "cfo": {"n_probes": 8, "n_steps": 100},
-                    "sweep": {
-                        "parameter": "gamma",
-                        "start": 0.0,
-                        "stop": 1.0,
-                        "count": 11,
-                    },
-                    "outputs": {"dir": str(Path(tmp) / "out")},
-                }
-            ),
-            encoding="utf-8",
-        )
-        spec = load_config(str(config_path))
+        doc = {
+            "objective": "sgo",
+            "cfo": {"n_probes": 8, "n_steps": 100},
+            "sweep": {
+                "parameter": "gamma",
+                "start": 0.0,
+                "stop": 1.0,
+                "count": 11,
+            },
+            "outputs": {"dir": str(Path(tmp) / "out")},
+        }
+        spec = load_config(_write_config(Path(tmp) / "sweep.json", doc))
         _records, rows = sweep_runs(spec, quiet=True)
         rows_ok = all(
             row["n_eval"] == (row["steps"] + 1) * row["n_probes"] for row in rows
@@ -559,23 +509,18 @@ def criterion_8() -> CriterionResult:
                 for row in csv.DictReader(fh)
             )
 
-    record = _collinear_run(6)
+    record = _shared_run("collinear 6")
     n_eval = (record.saturation_step + 1) * 10
     budget_ok = record.saturation_step <= 10 and n_eval <= 110
 
     passed = rows_ok and file_ok and budget_ok
-    return CriterionResult(
-        8,
-        "efficiency accounting",
-        passed,
-        (
-            f"summary rows consistent ({len(rows)} runs); 6-element run "
-            f"saturated at step {record.saturation_step} with {n_eval} evaluations"
-        ),
+    return passed, (
+        f"summary rows consistent ({len(rows)} runs); 6-element run "
+        f"saturated at step {record.saturation_step} with {n_eval} evaluations"
     )
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> Verdict:
     state = NoiseState.seeded(1234, sigma=0.4472)
     t0 = time.perf_counter()
     draws = gaussian_batch(state, 1_000_000)
@@ -583,15 +528,12 @@ def criterion_9() -> CriterionResult:
     mean = float(np.mean(draws))
     var = float(np.var(draws))
     passed = abs(mean) < 0.002 and 0.198 <= var <= 0.202 and elapsed < 2.0
-    return CriterionResult(
-        9,
-        "noise statistics",
-        passed,
-        f"mean {mean:+.5f}, variance {var:.5f}, {elapsed:.2f} s for 1e6 draws",
+    return passed, (
+        f"mean {mean:+.5f}, variance {var:.5f}, {elapsed:.2f} s for 1e6 draws"
     )
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> Verdict:
     cases = (
         ("dipole", lambda th, ph: antenna.dipole_pattern(2.58, th), (0.63, 0.0)),
         (
@@ -630,23 +572,15 @@ def criterion_10() -> CriterionResult:
         good = 0.999 <= ratio <= 1.001 and drift < 1e-3
         ok = ok and good
         bits.append(f"{name}: ratio {ratio:.6f}, doubling drift {drift:.2e}")
-    return CriterionResult(10, "quadrature integrity", ok, "; ".join(bits))
+    return ok, "; ".join(bits)
 
 
-def criterion_11() -> CriterionResult:
-    record = _dipole_run()
-    cfg = CfoConfig(n_probes=4, n_steps=DIPOLE_RUN_STEPS, n_avg_steps=10)
-    series = record.step_best_fitness
-    fired = any(
-        detect_fitness_saturation(series, j, cfg) for j in range(len(series))
-    )
-    final_davg = float(record.d_avg[-1])
+def criterion_11() -> Verdict:
+    fired = _dipole_saturation_step() is not None
+    final_davg = float(_shared_run("dipole").d_avg[-1])
     passed = fired and final_davg < 0.05
-    return CriterionResult(
-        11,
-        "saturation detectors",
-        passed,
-        f"fitness saturation fired: {fired}; final average distance {final_davg:.5f}",
+    return passed, (
+        f"fitness saturation fired: {fired}; final average distance {final_davg:.5f}"
     )
 
 
@@ -667,7 +601,7 @@ def _package_first_on_pythonpath():
 
 
 @_package_first_on_pythonpath()
-def criterion_12() -> CriterionResult:
+def criterion_12() -> Verdict:
     from .external import (
         EvaluationTimeout,
         ExternalObjective,
@@ -684,23 +618,16 @@ def criterion_12() -> CriterionResult:
             worst = max(worst, _rel_err(client.evaluate(x), builtin.evaluate(x)))
     paired_ok = worst <= 1e-12
 
-    malformed_ok = False
-    client = ExternalObjective(server + ["malformed"], timeout=30.0)
-    try:
-        client.evaluate([0.5, 0.5])
-    except ProtocolError:
-        malformed_ok = True
-    finally:
-        client.close()
+    def raises(name, timeout, x, error) -> bool:
+        with ExternalObjective(server + [name], timeout=timeout) as client:
+            try:
+                client.evaluate(x)
+            except error:
+                return True
+        return False
 
-    timeout_ok = False
-    client = ExternalObjective(server + ["sleepy"], timeout=2.0)
-    try:
-        client.evaluate([0.0])
-    except EvaluationTimeout:
-        timeout_ok = True
-    finally:
-        client.close()
+    malformed_ok = raises("malformed", 30.0, [0.5, 0.5], ProtocolError)
+    timeout_ok = raises("sleepy", 2.0, [0.0], EvaluationTimeout)
 
     # the CLI must report both failure modes with the objective exit code and
     # their own message, which a child that could not start would not give
@@ -711,22 +638,17 @@ def criterion_12() -> CriterionResult:
             options = {
                 "command": server + [name],
                 "bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+                **extra,
             }
-            options.update(extra)
-            config_path = Path(tmp) / f"{name}.json"
-            config_path.write_text(
-                json.dumps(
-                    {
-                        "objective": {"id": "external", "options": options},
-                        "cfo": {"n_probes": 4, "n_steps": 2},
-                        "outputs": {"dir": str(Path(tmp) / name)},
-                    }
-                ),
-                encoding="utf-8",
-            )
+            doc = {
+                "objective": {"id": "external", "options": options},
+                "cfo": {"n_probes": 4, "n_steps": 2},
+                "outputs": {"dir": str(Path(tmp) / name)},
+            }
+            config_path = _write_config(Path(tmp) / f"{name}.json", doc)
             proc = subprocess.run(
                 [sys.executable, "-m", "cfobench.cli", "run", "--config",
-                 str(config_path), "--quiet"],
+                 config_path, "--quiet"],
                 capture_output=True,
                 timeout=120,
             )
@@ -735,19 +657,14 @@ def criterion_12() -> CriterionResult:
     cli_ok = exit_codes == [3, 3] and messages_ok
 
     passed = paired_ok and malformed_ok and timeout_ok and cli_ok
-    return CriterionResult(
-        12,
-        "external protocol",
-        passed,
-        (
-            f"paired oracle max err {worst:.2g}; malformed raised: {malformed_ok}; "
-            f"timeout raised: {timeout_ok}; CLI exit codes {exit_codes}, "
-            f"messages matched: {messages_ok}"
-        ),
+    return passed, (
+        f"paired oracle max err {worst:.2g}; malformed raised: {malformed_ok}; "
+        f"timeout raised: {timeout_ok}; CLI exit codes {exit_codes}, "
+        f"messages matched: {messages_ok}"
     )
 
 
-CRITERIA: Tuple[Tuple[int, str, Callable[[], CriterionResult]], ...] = (
+CRITERIA: Tuple[Tuple[int, str, Callable[[], Verdict]], ...] = (
     (1, "engine step equivalence", criterion_1),
     (2, "run determinism", criterion_2),
     (3, "analytic suite quality", criterion_3),
@@ -767,14 +684,13 @@ def run_all(quiet: bool = False) -> List[CriterionResult]:
     """Run every criterion in order; print one line per criterion with its
     wall time (a criterion that builds a cached run pays for it)."""
     results = []
-    for number, name, fn in CRITERIA:
+    for number, name, check in CRITERIA:
         t0 = time.perf_counter()
         try:
-            result = fn()
+            passed, detail = check()
         except Exception as exc:  # a crashed check is a failed check
-            result = CriterionResult(
-                number, name, False, f"raised {exc.__class__.__name__}: {exc}"
-            )
+            passed, detail = False, f"raised {exc.__class__.__name__}: {exc}"
+        result = CriterionResult(number, name, passed, detail)
         results.append(result)
         if not quiet:
             print(f"{result.line()} ({time.perf_counter() - t0:.2f} s)", flush=True)

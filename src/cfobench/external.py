@@ -95,7 +95,13 @@ class ExternalObjective:
         )
         self._stdout_thread.start()
         self._stderr_thread.start()
-        self._check_handshake()
+        try:
+            self._check_handshake()
+        except BaseException:
+            # the reader threads hold this instance, so nothing else would
+            # ever close the child
+            self.close()
+            raise
 
     # -- plumbing ----------------------------------------------------------
 

@@ -264,6 +264,14 @@ def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective
 
     if command is None:
         raise ObjectiveError("external: a command is required")
+    if not (isinstance(command, str) and command.strip()
+            or isinstance(command, list) and command
+            and all(isinstance(part, str) for part in command)):
+        raise ObjectiveError("external: command must be a nonempty string "
+                             "or a nonempty list of strings")
+    if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf):
+        raise ObjectiveError("external: timeout must be a positive finite number of seconds")
     if bounds is None:
         raise ObjectiveError("external: bounds are required")
     space = DecisionSpace.from_bounds(bounds)

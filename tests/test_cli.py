@@ -28,6 +28,8 @@ BASE_RUN = {
 
 QUADRATIC = {"command": [sys.executable, "-m", "cfobench.external", "quadratic"],
              "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}
+BAD_COMMAND = "external: command must be a nonempty string or a nonempty list of strings"
+BAD_TIMEOUT = "external: timeout must be a positive finite number of seconds"
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -148,7 +150,7 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert "dimensions" in capsys.readouterr().err
 
 
-def test_external_failure_exit_code(tmp_path, capsys):
+def test_external_failure_exit_code(tmp_path, capsys, spawned):
     doc = {
         "objective": {
             "id": "external",
@@ -165,6 +167,7 @@ def test_external_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     # the message tells the bad handshake from a child that could not start
     assert "objective error" in err and "unsupported protocol version" in err
+    assert len(spawned) == 1 and spawned[0].poll() is not None
 
 
 def test_sweep_summary(tmp_path, capsys):
@@ -478,8 +481,18 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
      "external: noise is not supported"),
     ({"id": "gp", "options": {"noise": False}}, ["--seed", "4"], "gp: noise must be an object with a seed"),
     (" GP ", [], f"unknown objective id ' GP '; expected one of {', '.join(list_objectives())}"),
+    ({"id": "external", "options": dict(QUADRATIC, command=5)}, [], BAD_COMMAND),
+    ({"id": "external", "options": dict(QUADRATIC, command={"a": 1})}, [], BAD_COMMAND),
+    ({"id": "external", "options": dict(QUADRATIC, command=[sys.executable, 5])}, [], BAD_COMMAND),
+    ({"id": "external", "options": dict(QUADRATIC, command=[])}, [], BAD_COMMAND),
+    ({"id": "external", "options": dict(QUADRATIC, command=" ")}, [], BAD_COMMAND),
+    ({"id": "external", "options": dict(QUADRATIC, timeout=-1)}, [], BAD_TIMEOUT),
+    ({"id": "external", "options": dict(QUADRATIC, timeout=0)}, [], BAD_TIMEOUT),
+    ({"id": "external", "options": dict(QUADRATIC, timeout=True)}, [], BAD_TIMEOUT),
+    ({"id": "external", "options": dict(QUADRATIC, timeout="5")}, [], BAD_TIMEOUT),
 ])
-def test_bad_objective_options_exit_2(tmp_path, capsys, objective, argv, message):
+def test_bad_objective_options_exit_2(tmp_path, capsys, spawned, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)
     assert main(["run", "--config", write_config(tmp_path, doc)] + argv) == 2
     assert message in capsys.readouterr().err
+    assert spawned == []  # rejected before any child started

@@ -67,9 +67,17 @@ def test_sleepy_evaluator_times_out():
             client.evaluate([1.0])
 
 
-def test_bad_handshake_is_rejected():
+def test_bad_handshake_is_rejected(spawned):
     with pytest.raises(ProtocolError, match="unsupported protocol version"):
         ExternalObjective(SERVE + ["badshake"])
+    assert len(spawned) == 1 and spawned[0].poll() is not None
+
+
+def test_handshake_timeout_reaps_the_child(spawned):
+    silent = [sys.executable, "-c", "import sys; sys.stdin.read()"]
+    with pytest.raises(EvaluationTimeout, match="no reply within"):
+        ExternalObjective(silent, timeout=0.5)
+    assert len(spawned) == 1 and spawned[0].poll() is not None
 
 
 def test_child_death_is_reported():
