@@ -299,7 +299,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
 
 
 def _write_lines(path: Path, lines: List[str]):
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -323,6 +322,7 @@ def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
         _write_series(out_dir / "best_probe.txt", record.best_probe, fmt="%d")
     if emit.get("probe_snapshots") and n_dims == 2:
         snap_dir = out_dir / "probes"
+        snap_dir.mkdir(exist_ok=True)
         for j in range(record.positions_history.shape[0]):
             rows = [
                 " ".join("%.17g" % v for v in point)
@@ -331,6 +331,7 @@ def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
             _write_lines(snap_dir / ("step_%04d.txt" % j), rows)
     if emit.get("trajectories"):
         traj_dir = out_dir / "trajectories"
+        traj_dir.mkdir(exist_ok=True)
         n_probes = record.positions_history.shape[1]
         for p in range(n_probes):
             rows = [

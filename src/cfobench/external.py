@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import queue
-import shlex
 import subprocess
 import sys
 import threading
 import time
 from collections import deque
 
-from .objectives import ObjectiveError
+from . import ObjectiveError
 
 PROTOCOL_VERSION = "1"
 HANDSHAKE = "CFO-OBJ " + PROTOCOL_VERSION
@@ -58,15 +57,14 @@ class EvaluationError(ExternalObjectiveError):
 class ExternalObjective:
     """Client handle for one external evaluator process.
 
+    command is the child's argument list (the ``external`` objective splits
+    a string command with shell quoting rules before it gets here).
     Single-consumer: the engine serializes evaluations per run, so no
     locking is done here. Use as a context manager or call close().
     """
 
     def __init__(self, command, timeout: float = 60.0, run_id: str = "run0"):
-        if isinstance(command, str):
-            argv = shlex.split(command)
-        else:
-            argv = [str(part) for part in command]
+        argv = [str(part) for part in command]
         if not argv:
             raise ValueError("external objective: empty command")
         self.command = argv

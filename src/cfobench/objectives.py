@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import inspect
 import math
+import shlex
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import antenna
+from . import ObjectiveError, antenna
 from .rng import NoiseState, gaussian_deviate
 from .space import DecisionSpace
-
-
-class ObjectiveError(ValueError):
-    """Unknown objective id or unusable objective options."""
 
 
 @dataclass
@@ -264,8 +261,12 @@ def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective
 
     if command is None:
         raise ObjectiveError("external: a command is required")
-    if not (isinstance(command, str) and command.strip()
-            or isinstance(command, list) and command
+    if isinstance(command, str):
+        try:
+            command = shlex.split(command)
+        except ValueError as exc:
+            raise ObjectiveError(f"external: command: {exc}") from None
+    if not (isinstance(command, list) and command
             and all(isinstance(part, str) for part in command)):
         raise ObjectiveError("external: command must be a nonempty string "
                              "or a nonempty list of strings")

@@ -490,6 +490,8 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
     ({"id": "external", "options": dict(QUADRATIC, timeout=0)}, [], BAD_TIMEOUT),
     ({"id": "external", "options": dict(QUADRATIC, timeout=True)}, [], BAD_TIMEOUT),
     ({"id": "external", "options": dict(QUADRATIC, timeout="5")}, [], BAD_TIMEOUT),
+    ({"id": "external", "options": dict(QUADRATIC, command=f'{sys.executable} -m "cfobench.external quadratic')},
+     [], "config error: external: command: No closing quotation"),
 ])
 def test_bad_objective_options_exit_2(tmp_path, capsys, spawned, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)

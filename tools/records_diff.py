@@ -11,11 +11,13 @@ an external child, early termination, a --seed override sweep, a noisy
 `pbm1` run, 10- and 3-element `pbm5` runs, a 2-element `pbm5` oracle over
 401 spacings (each a distinct geometry, so each a power miss), a `pbm3`
 oracle finer than the benchmark's, a 3-run `pbm3` gamma sweep (each run
-builds its own ring and coupling matrix), and the history outputs the
-benchmark leaves out (probe snapshots alone in 2-D and in 3-D, where none
-are written, and a sweep with trajectories). `diff` compares the two output
-trees file by file (the configs name their own directory, so the first
-tree's path is replaced by the second's) and exits 1 when any file differs.
+builds its own ring and coupling matrix), a 3-run `external` gamma sweep
+whose command is one shell-quoted string (each run splits it and starts its
+own child), and the history outputs the benchmark leaves out (probe
+snapshots alone in 2-D and in 3-D, where none are written, and a sweep with
+trajectories). `diff` compares the two output trees file by file (the
+configs name their own directory, so the first tree's path is replaced by
+the second's) and exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -58,6 +61,10 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
                                        "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
     "pbm3_sweep": ("pbm3", {"cfo": {"n_probes": 6, "n_steps": 20}, "outputs": {},
                             "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
+    "external_string_sweep": (dict(EXTERNAL, options=dict(EXTERNAL["options"],
+                                                          command=shlex.join(EXTERNAL["options"]["command"]))),
+                              {"cfo": {"n_probes": 6, "n_steps": 30}, "outputs": {"trajectories": True},
+                               "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
 }
 EXTRA_ORACLES = {  # name: (objective, resolution)
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
