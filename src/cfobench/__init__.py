@@ -29,9 +29,7 @@ _EXPORTS = {  # name: submodule that defines it
     "RunRecord": "engine",
     "compute_accelerations": "engine",
     "d_avg": "engine",
-    "detect_davg_saturation": "engine",
     "detect_fitness_saturation": "engine",
-    "detect_oscillation": "engine",
     "init_probes": "engine",
     "run": "engine",
     "Objective": "objectives",

@@ -6,10 +6,10 @@ with the fitness gap and decays with distance. run() is one loop over plain
 local variables: move the probes by the half-a-t-squared kinematic update,
 pull probes that left the box back inside by the repositioning factor,
 evaluate them, update the running best, the saved-best ring and the
-repositioning factor, then compute the next accelerations. Two saturation
-detectors (fitness and probe-spread) diagnose convergence. Every run starts
-at zero acceleration, and with a fixed noise seed the whole trajectory is a
-pure function of the inputs.
+repositioning factor, then compute the next accelerations. A fitness
+saturation detector diagnoses convergence. Every run starts at zero
+acceleration, and with a fixed noise seed the whole trajectory is a pure
+function of the inputs.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class CfoConfig:
     n_sat: int = 3
     n_avg_steps: int = 50
     fitness_sat_tol: float = 1e-5
-    davg_sat_tol: float = 5e-4
     early_termination: bool = False
 
     @classmethod
@@ -110,6 +109,8 @@ class CfoConfig:
             raise ConfigError("n_saved/n_sat: need n_saved >= n_sat >= 1")
         if self.n_avg_steps < 1:
             raise ConfigError("n_avg_steps: must be >= 1")
+        if not self.fitness_sat_tol >= 0:
+            raise ConfigError("fitness_sat_tol: must be >= 0")
         _check_scheme(self.init_scheme)
         if self.init_scheme == "custom" and self.initial_probes is None:
             raise ConfigError("initial_probes: required for the custom scheme")
@@ -176,7 +177,7 @@ class RunRecord:
 
     best_fitness is the running (nondecreasing) best; step_best_fitness is
     the best value found within each individual step, which is what the
-    saturation detectors and the fitness output files use. Probe numbers are
+    saturation detector and the fitness output files use. Probe numbers are
     1-based, step numbers 0-based with step 0 the initial distribution.
     """
 
@@ -382,40 +383,17 @@ def d_avg(positions: np.ndarray, reference: np.ndarray, space: DecisionSpace) ->
     return float(dists.sum() / (space.diag_length * (n_p - 1)))
 
 
-def _window_flat(series: Sequence[float], j: int, n_avg: int, tol: float) -> bool:
-    """Does the mean of series[j-n_avg+1 .. j] sit within tol of series[j]?
+def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
+    """Does the mean of best_series[j-n_avg_steps+1 .. j] sit within
+    fitness_sat_tol of best_series[j]?
 
     Inactive until j is at least 10 steps beyond the averaging window.
     """
-    if j < n_avg + 10 or j >= len(series):
+    n_avg = cfg.n_avg_steps
+    if j < n_avg + 10 or j >= len(best_series):
         return False
-    window = np.asarray(series[j - n_avg + 1: j + 1], dtype=float)
-    return bool(abs(window.mean() - float(series[j])) <= tol)
-
-
-def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
-    """Has the per-step best flattened over the last n_avg_steps window?"""
-    return _window_flat(best_series, j, cfg.n_avg_steps, cfg.fitness_sat_tol)
-
-
-def detect_davg_saturation(davg_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
-    """Same test as fitness saturation, on the probe-spread series."""
-    return _window_flat(davg_series, j, cfg.n_avg_steps, cfg.davg_sat_tol)
-
-
-def detect_oscillation(davg_series: Sequence[float], j: int) -> bool:
-    """Is the spread series zigzagging instead of settling?
-
-    Looks at the slopes over the window k = j-10 .. j-1 and counts sign
-    changes between consecutive slopes (9 comparisons); 3 or more means
-    oscillation. Inactive before step 15.
-    """
-    if j < 15 or j >= len(davg_series):
-        return False
-    d = davg_series
-    slopes = [d[k] - d[k - 1] for k in range(j - 10, j)]
-    changes = sum(1 for a, b in zip(slopes, slopes[1:]) if a * b < 0.0)
-    return changes >= 3
+    window = np.asarray(best_series[j - n_avg + 1: j + 1], dtype=float)
+    return bool(abs(window.mean() - float(best_series[j])) <= cfg.fitness_sat_tol)
 
 
 # ---------------------------------------------------------------------------

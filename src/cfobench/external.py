@@ -30,6 +30,7 @@ from . import ObjectiveError
 
 PROTOCOL_VERSION = "1"
 HANDSHAKE = "CFO-OBJ " + PROTOCOL_VERSION
+RUN_ID = "run0"  # the <run_id> field of every request
 
 _STDERR_TAIL_LINES = 40
 
@@ -63,13 +64,12 @@ class ExternalObjective:
     locking is done here. Use as a context manager or call close().
     """
 
-    def __init__(self, command, timeout: float = 60.0, run_id: str = "run0"):
+    def __init__(self, command, timeout: float = 60.0):
         argv = [str(part) for part in command]
         if not argv:
             raise ValueError("external objective: empty command")
         self.command = argv
         self.timeout = float(timeout)
-        self.run_id = str(run_id)
         self.n_evaluations = 0
         self._closed = False
         try:
@@ -161,7 +161,7 @@ class ExternalObjective:
             raise ProcessExited("evaluate() called on a closed client")
         coords = [float(v) for v in x]
         request = "EVAL %s %d %d %d %s\n" % (
-            self.run_id,
+            RUN_ID,
             int(step),
             int(probe),
             len(coords),
@@ -303,15 +303,7 @@ def _serve_sleepy(delay: float) -> int:
 
 def _serve_badshake() -> int:
     print("CFO-OBJ 999", flush=True)
-    return _serve_quadratic_loop()
-
-
-def _serve_quadratic_loop() -> int:
-    for line in sys.stdin:
-        tokens = line.split()
-        if len(tokens) >= 5:
-            coords = [float(t) for t in tokens[5:]]
-            print("FITNESS %.17g" % -sum(v * v for v in coords), flush=True)
+    sys.stdin.read()
     return 0
 
 

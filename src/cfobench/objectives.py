@@ -175,19 +175,19 @@ def _antenna_factory(power, steering, bounds):
     power goes through radiated_power with its power key (a cache hit on a
     repeat), then steering(rows) gives the batch's amplitudes."""
 
+    def row_power(x, _step, _probe):
+        key, mesh_sum = power(x)
+        total = antenna.radiated_power(None, power_key=key, mesh_sum=mesh_sum)
+        if total == 0.0:
+            raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
+        return total
+
+    powers = row_loop(row_power)
+
     def factory(obj_id):
         def evaluate_batch(rows, step=0):
             rows = np.asarray(rows, dtype=float)
-            total = np.empty(len(rows))
-            for i, x in enumerate(rows):
-                try:
-                    key, mesh_sum = power(x)
-                    total[i] = antenna.radiated_power(None, power_key=key, mesh_sum=mesh_sum)
-                    if total[i] == 0.0:
-                        raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
-                except Exception as exc:
-                    exc.failed_row = i + 1
-                    raise
+            total = powers(rows)
             amp = np.abs(steering(rows))
             return 4.0 * math.pi * amp * amp / total
 

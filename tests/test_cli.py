@@ -428,12 +428,25 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, blocks):
     ("mitigation_seed", 3),
     ("keep_history", False),
     ("initial_acceleration", [0.25, -0.5]),
+    ("davg_sat_tol", 5e-4),
 ])
 def test_removed_cfo_options_are_unknown_fields(tmp_path, capsys, key, value):
     doc = dict(BASE_RUN, cfo=dict(BASE_RUN["cfo"], **{key: value}))
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "unknown field" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_fitness_sat_tol_exits_2(tmp_path, capsys, command):
+    # a negative tolerance would put the saturation step past the last step
+    doc = {"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 20, "fitness_sat_tol": -1.0},
+           "outputs": {"dir": str(tmp_path / "out")}}
+    if command == "sweep":
+        doc["sweep"] = {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 2}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "fitness_sat_tol: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scheme", ["grid-2d", "On-Axis"])

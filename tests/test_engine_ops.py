@@ -11,9 +11,7 @@ from cfobench.engine import (
     advance_positions,
     compute_accelerations,
     d_avg,
-    detect_davg_saturation,
     detect_fitness_saturation,
-    detect_oscillation,
     init_probes,
     retrieve_errant_probes,
     update_frep,
@@ -174,30 +172,14 @@ def test_d_avg_needs_two_probes():
         d_avg(np.array([[0.5]]), np.array([0.5]), space)
 
 
-def test_oscillation_detector():
-    flat = [0.5] * 40
-    assert detect_oscillation(flat, 20) is False
-    zigzag = [0.5 + 0.1 * (-1) ** k for k in range(40)]
-    assert detect_oscillation(zigzag, 20) is True
-    assert detect_oscillation(zigzag, 12) is False
-
-
 def test_fitness_saturation_detector():
     cfg = CfoConfig(n_probes=2, n_steps=1, n_avg_steps=10)
     flat = [3.0] * 60
     assert detect_fitness_saturation(flat, 20, cfg) is True
     assert detect_fitness_saturation(flat, 14, cfg) is False
+    assert detect_fitness_saturation(flat, 60, cfg) is False
     rising = [0.1 * k for k in range(60)]
     assert detect_fitness_saturation(rising, 30, cfg) is False
-
-
-def test_davg_saturation_detector():
-    cfg = CfoConfig(n_probes=2, n_steps=1, n_avg_steps=10)
-    flat = [0.25] * 60
-    assert detect_davg_saturation(flat, 20, cfg) is True
-    falling = [1.0 - 0.01 * k for k in range(60)]
-    assert detect_davg_saturation(falling, 30, cfg) is False
-    assert detect_davg_saturation(flat, 12, cfg) is False
 
 
 def naive_full_step(pos, fit, acc, cfg, space, frep):

@@ -147,13 +147,13 @@ def test_request_wire_format():
         "    sys.stderr.flush()\n"
         "    print('FITNESS 0', flush=True)\n"
     )
-    client = ExternalObjective([sys.executable, "-c", code], run_id="trial7")
+    client = ExternalObjective([sys.executable, "-c", code])
     client.evaluate([0.5, -1.0 / 3.0], step=12, probe=3)
     client.close()
     tail = list(client._stderr_tail)
     assert tail, "request line should have been echoed to stderr"
     fields = tail[0].split()
-    assert fields[:5] == ["EVAL", "trial7", "12", "3", "2"]
+    assert fields[:5] == ["EVAL", "run0", "12", "3", "2"]
     assert float(fields[5]) == 0.5
     assert float(fields[6]) == -1.0 / 3.0  # 17 significant digits round-trip
 

@@ -27,20 +27,20 @@ EXTERNAL = {"id": "external", "options": {
 
 RUNS = {  # name: (objective block, cfo block, record.json SHA-256)
     "gp": ("gp", {"n_probes": 8, "n_steps": 100, "gamma": 0.4},
-           "4b99f81a0351887b145dfb4a95f7a7b851924e77aa956c1a1049ef1b6ac7733d"),
+           "40f33972d6082681e88cb7931936a092abcdc605eb002521b9c8d654936e9baa"),
     "gp_noisy": ({"id": "gp", "options": {"noise": {"seed": 7}}},
                  {"n_probes": 8, "n_steps": 100},
-                 "ba7e3ba9f617bfd5be26364f9ec34abebd0f32386a13dc8e6adaf5cb08c6ad5b"),
+                 "eea2becdd98041a56f87afe03d5c113d1fcdf36f1e6a10b1afc68c8257006267"),
     "external_quadratic": (EXTERNAL, {"n_probes": 6, "n_steps": 20},
-                           "57a3eb9eb630a24a2c44e1e027ceb18d409581e540987ac6a2a011f99161a968"),
+                           "3445c9387902d140e475e3134f0bfc3a45418105c0631d765dae551d38b44932"),
     "pbm1": ("pbm1", {"n_probes": 4, "n_steps": 4},
-             "32441c970e27d59f4304b4c077c4deef50fcdd6ac7a1cb309bef678046285b11"),
+             "adc8d61f002861e1d0769a90fc440c1c3ea39c0086c010e43e1a63338eb5883c"),
     "pbm2": ("pbm2", {"n_probes": 8, "n_steps": 20},
-             "0857e96e3e22dcb42296d3112254f23ec19dab36295545f4db7871e148478741"),
+             "fa1dc0112af9403a27e20832dbf0531bf460e9148b7bffc3101ed9ff29f9987a"),
     "pbm3": ("pbm3", {"n_probes": 8, "n_steps": 20},
-             "bb4fe4b15f8ddabc70fd1fc9084b50ac81c079f34521b939426223c6d7b39eb0"),
+             "f730dc561b4c401b4611503983754e21891ac682ac0d61e9bec2a50b09435fcd"),
     "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, {"n_probes": 10, "n_steps": 6},
-               "18c0784c0f67bcb45c67b92bf394a4836b2b30ed292b28f323854d5959370be1"),
+               "62a692498519402464efc3fb6789878d1b711e9f68b959f2f2e1d415bd8eb525"),
 }
 
 
