@@ -20,10 +20,12 @@ exact cheaper form of that sum: axisymmetric_power for patterns that do not
 depend on phi (one node per theta row, folded in numpy's own pairwise
 summation order, so the result is the full sum's bits), octant_power for
 patterns even under the three coordinate reflections (1/8 of the nodes),
-CollinearPower.power for y-dipoles strung on the y axis (octant_power's
-bits from the octant's upper triangle, about 1/16 of the nodes, when
-n_phi = 2 n_theta), or CouplingMatrix.power for a fixed planar array whose
-excitations vary (Re(e^H K e), an N x N product once K is built).
+UniformLinePower.power for the uniform line (octant_power's bits, in
+octant buffers the instance keeps), CollinearPower.power for y-dipoles
+strung on the y axis (octant_power's bits from the octant's upper
+triangle, about 1/16 of the nodes, when n_phi = 2 n_theta), or
+CouplingMatrix.power for a fixed planar array whose excitations vary
+(Re(e^H K e), an N x N product once K is built).
 radiated_power calls the form only on a power-cache miss, so a form that
 builds its pattern when called builds it only then.
 
@@ -252,6 +254,16 @@ def axisymmetric_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
     return float(s[0] * (math.pi / n_theta) * (TWO_PI / n_phi))
 
 
+def _octant(n_theta: int, n_phi: int):
+    """The first octant's node rows and columns, (n_theta//2, n_phi//4)."""
+    if n_theta % 2 or n_phi % 4:
+        raise ValueError(
+            f"the octant fold needs an even n_theta and n_phi divisible by 4, "
+            f"got {n_theta} x {n_phi}"
+        )
+    return n_theta // 2, n_phi // 4
+
+
 def octant_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
     """radiated_power's midpoint sum for a pattern with eightfold symmetry.
 
@@ -261,12 +273,57 @@ def octant_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
     sum over the first-octant nodes [:n_theta//2, :n_phi//4], up to the
     rounding of the mirrored node coordinates.
     """
-    if n_theta % 2 or n_phi % 4:
-        raise ValueError(
-            f"the octant fold needs an even n_theta and n_phi divisible by 4, "
-            f"got {n_theta} x {n_phi}"
-        )
-    return 8.0 * _midpoint_sum(pattern, n_theta, n_phi, n_theta // 2, n_phi // 4)
+    return 8.0 * _midpoint_sum(pattern, n_theta, n_phi, *_octant(n_theta, n_phi))
+
+
+class UniformLinePower:
+    """octant_power(uniform_line_pattern(d, n_elements)), bit for bit.
+
+    power() does uniform_line_field's arithmetic on the octant one step at a
+    time, in the same order, writing each step into octant-sized buffers
+    that this instance keeps, then sums with octant_power's expression. A
+    fresh temporary of the octant's size (128 KiB at 256 x 512) sits at
+    glibc's mmap threshold, so each call would map and page-fault it anew;
+    reused buffers fault once. The node tables (u = sin(theta) cos(phi), the
+    element factor and sin(theta)) and the buffers are built on the first
+    power() call for a mesh. The buffers make an instance unsafe to share
+    between threads; each objective owns one.
+    """
+
+    def __init__(self):
+        self._meshes = {}
+
+    @staticmethod
+    def _build(n_theta: int, n_phi: int):
+        rows, cols = _octant(n_theta, n_phi)
+        th, ph, sin_th = sphere_mesh(n_theta, n_phi)
+        # uniform_line_field's node arithmetic on the octant's (rows, 1)
+        # and (1, cols) slices, as _midpoint_sum hands them to the pattern
+        u = np.sin(th[:rows]) * np.cos(ph[:, :cols])
+        elem = _element_factor(ELEMENT_LENGTH, np.cos(th[:rows]))
+        in_phase = np.empty((rows, cols), dtype=bool)
+        return (u, elem, sin_th[:rows], in_phase, *(np.empty((rows, cols)) for _ in range(3)))
+
+    def power(self, d: float, n_elements: int, n_theta: int, n_phi: int) -> float:
+        if d <= 0.0:
+            raise ValueError("element spacing must be positive")
+        mesh = self._meshes.get((n_theta, n_phi))
+        if mesh is None:
+            mesh = self._meshes[(n_theta, n_phi)] = self._build(n_theta, n_phi)
+        u, elem, sin_th, in_phase, half, den, f = mesh
+        np.multiply(math.pi * d, u, out=half)
+        np.sin(half, out=den)
+        np.less(np.abs(den, out=f), 1e-9, out=in_phase)
+        np.multiply(n_elements, half, out=f)
+        np.sin(f, out=f)
+        np.copyto(den, 1.0, where=in_phase)
+        np.divide(f, den, out=f)
+        np.copyto(f, float(n_elements), where=in_phase)
+        np.abs(f, out=f)
+        np.multiply(f, elem, out=f)
+        np.multiply(f, f, out=half)
+        np.multiply(half, sin_th, out=half)
+        return 8.0 * float(np.sum(half) * (math.pi / n_theta) * (TWO_PI / n_phi))
 
 
 class CouplingMatrix:
@@ -389,8 +446,9 @@ def radiated_power(
     same geometry; the key must determine the pattern. mesh_sum, when given,
     is a callable (n_theta, n_phi) -> power that evaluates the same sum on
     the same nodes in a cheaper exact form (axisymmetric_power, octant_power,
-    CouplingMatrix.power) and is called only on a cache miss; pattern is then
-    unused and may be None. Without mesh_sum every node of pattern is summed.
+    UniformLinePower.power, CollinearPower.power, CouplingMatrix.power) and
+    is called only on a cache miss; pattern is then unused and may be None.
+    Without mesh_sum every node of pattern is summed.
     """
     if power_key is not None:
         cached = _POWER_CACHE.get((power_key, n_theta, n_phi))

@@ -141,33 +141,15 @@ def _himmelblau_rows(X):
 # |F(theta0, phi0)| for the whole batch.
 
 
-def _folded(fold, pattern, *args):
-    """The power form fold(pattern(*args), n_theta, n_phi)."""
-    return lambda n_theta, n_phi: fold(pattern(*args), n_theta, n_phi)
-
-
-def _dipole(length):
-    return lambda th, _ph: antenna.dipole_pattern(length, th)
-
-
 def _pbm1_power(x):
     # the dipole's |F| does not depend on phi
     length = float(x[0])
-    return ("pbm1", length), _folded(antenna.axisymmetric_power, _dipole, length)
+    return ("pbm1", length), lambda n_theta, n_phi: antenna.axisymmetric_power(
+        lambda th, _ph: antenna.dipole_pattern(length, th), n_theta, n_phi)
 
 
 def _pbm1_steering(rows):
     return antenna.dipole_pattern(rows[:, 0], rows[:, 1])
-
-
-def _pbm2_power(x):
-    # |F| depends on cos(theta) and sin(theta) cos(phi) only, through even functions
-    d = float(x[0])
-    return ("pbm2", 10, d), _folded(antenna.octant_power, antenna.uniform_line_pattern, d, 10)
-
-
-def _pbm2_steering(rows):
-    return antenna.uniform_line_field(rows[:, 0], 10, rows[:, 1], math.pi / 2)
 
 
 def _antenna_factory(power, steering, bounds):
@@ -196,6 +178,21 @@ def _antenna_factory(power, steering, bounds):
                          evaluate_batch=evaluate_batch)
 
     return factory
+
+
+def _make_pbm2(obj_id) -> Objective:
+    # |F| depends on cos(theta) and sin(theta) cos(phi) only, through even
+    # functions; the octant tables and buffers are built on the first miss
+    line = antenna.UniformLinePower()
+
+    def power(x):
+        d = float(x[0])
+        return ("pbm2", 10, d), lambda n_theta, n_phi: line.power(d, 10, n_theta, n_phi)
+
+    def steering(rows):
+        return antenna.uniform_line_field(rows[:, 0], 10, rows[:, 1], math.pi / 2)
+
+    return _antenna_factory(power, steering, [(5.0, 15.0), (0.0, math.pi)])(obj_id)
 
 
 def _make_pbm3(obj_id) -> Objective:
@@ -321,7 +318,7 @@ REGISTRY: dict = {
     "neg_sum_squares": _analytic_factory(lambda X: -np.sum(X ** 2, axis=1), [(-5.0, 5.0)] * 3,
                                          dims_option=True),
     "pbm1": _antenna_factory(_pbm1_power, _pbm1_steering, [(0.5, 3.0), (0.0, math.pi / 2)]),
-    "pbm2": _antenna_factory(_pbm2_power, _pbm2_steering, [(5.0, 15.0), (0.0, math.pi)]),
+    "pbm2": _make_pbm2,
     "pbm3": _make_pbm3,
     "pbm4": _make_pbm4,
     "pbm5": _make_pbm5,

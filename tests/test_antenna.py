@@ -255,6 +255,26 @@ def test_triangle_fold_is_the_octant_sum_bit_for_bit(n_theta, n_phi, n_random):
                 == antenna.octant_power(array_pattern(spec), n_theta, n_phi)), spacings
 
 
+@pytest.mark.parametrize("n_theta,n_phi,n_random", [(256, 512, 1500), (512, 1024, 40)])
+def test_line_fold_is_the_octant_sum_bit_for_bit(n_theta, n_phi, n_random):
+    # ==, not approx: the buffered steps are uniform_line_field's arithmetic
+    rng = np.random.default_rng(20261021)
+    spacings = list(rng.uniform(5.0, 15.0, n_random)) + [5.0, 6.0, 8.0, 10.0, 12.0, 15.0]
+    # d = m / u at an octant node puts psi/2 within rounding of m pi there, so
+    # that node takes uniform_line_field's |sin| < 1e-9 in-phase branch
+    th, ph, _ = sphere_mesh(n_theta, n_phi)
+    u = np.sin(th[:n_theta // 2]) * np.cos(ph[:, :n_phi // 4])
+    for _ in range(25):
+        i, k = rng.integers(0, n_theta // 2), rng.integers(0, n_phi // 4)
+        d = float(rng.integers(1, 16)) / u[i, k]
+        assert np.any(np.abs(np.sin(math.pi * d * u)) < 1e-9), d
+        spacings.append(d)
+    line = antenna.UniformLinePower()
+    for d in spacings:
+        assert (line.power(d, 10, n_theta, n_phi)
+                == antenna.octant_power(uniform_line_pattern(d, 10), n_theta, n_phi)), d
+
+
 def _bare(obj_id, x, ring):
     """obj_id's pattern at x built from the pattern layer, its steering
     angles and the same-node power form its objective uses."""
@@ -304,6 +324,8 @@ def test_same_node_forms_reject_meshes_they_cannot_fold():
     for n_theta, n_phi in ((255, 512), (256, 510)):
         with pytest.raises(ValueError, match="octant fold"):
             antenna.octant_power(line, n_theta, n_phi)
+        with pytest.raises(ValueError, match="octant fold"):
+            antenna.UniformLinePower().power(6.0, 10, n_theta, n_phi)
     triangle = antenna.CollinearPower()
     stack = collinear_array_spec([0.7, 1.2])
     for n_theta, n_phi in ((256, 256), (256, 1024), (255, 510)):

@@ -17,7 +17,9 @@ own child), and the history outputs the benchmark leaves out (probe
 snapshots alone in 2-D and in 3-D, where none are written, and a sweep with
 trajectories). `diff` compares the two output trees file by file (the
 configs name their own directory, so the first tree's path is replaced by
-the second's) and exits 1 when any file differs.
+the second's) and exits 1 when any file differs. `run` refuses an output
+directory that exists and is not empty, with exit 2, before it writes
+anything.
 """
 
 from __future__ import annotations
@@ -156,8 +158,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "diff":
         return diff(args.a.resolve(), args.b.resolve())
+    out = args.out.resolve()
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"records_diff: {out} exists and is not an empty directory", file=sys.stderr)
+        return 2
     _use_checkout(args.checkout.resolve())
-    run(args.out.resolve())
+    run(out)
     return 0
 
 
