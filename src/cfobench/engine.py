@@ -3,10 +3,11 @@
 Probes with recorded fitness values attract each other: a probe accelerates
 toward every probe whose fitness exceeds its own, with a coupling that grows
 with the fitness gap and decays with distance. run() is one loop over plain
-local variables: move the probes by the half-a-t-squared kinematic update,
-pull probes that left the box back inside by the repositioning factor,
-evaluate them, update the running best, the saved-best ring and the
-repositioning factor, then compute the next accelerations. A fitness
+local variables and one set of step arrays sized for the run (_Step): move
+the probes by the half-a-t-squared kinematic update, pull probes that left
+the box back inside by the repositioning factor, evaluate them, update the
+running best, the saved-best ring and the repositioning factor, then
+compute the next accelerations. A fitness
 saturation detector diagnoses convergence. Every run starts at zero
 acceleration, and with a fixed noise seed the whole trajectory is a pure
 function of the inputs.
@@ -36,7 +37,8 @@ class ConfigError(ValueError):
 
 
 class EngineError(RuntimeError):
-    """An objective evaluation failed during a run."""
+    """A run could not go on: an objective evaluation failed or gave a bad
+    value, or the force update overflowed into NaN accelerations."""
 
 
 class InvariantError(RuntimeError):
@@ -234,47 +236,109 @@ class RunRecord:
 # elementary operations
 
 
+class _Step:
+    """Scratch arrays for the engine step at n_p probes in n_d dimensions.
+
+    run() builds one per run and reuses its arrays on every step; each public
+    step function below builds a throwaway one, so run() and the public
+    functions execute the same code. Nothing is kept at module level, so
+    runs in different threads never share a buffer. Each value is what
+    fresh arrays would hold: the same ufuncs on the same operands in the
+    same order, where in-place ** takes numpy's scalar-power shortcut (an
+    integer 2 squares) exactly where ** does.
+    """
+
+    def __init__(self, n_p: int, n_d: int):
+        self.pairs = np.empty((n_p, n_p, n_d))     # [p, k, :] = r_k - r_p
+        self.squares = np.empty((n_p, n_p, n_d))
+        self.dist = np.empty((n_p, n_p))           # distance, then distance^beta
+        self.weight = np.empty((n_p, n_p))         # fitness gap, mass, then weight
+        self.alive = np.empty((n_p, n_p), dtype=bool)
+        self.dead = np.empty((n_p, n_p), dtype=bool)
+        self.acc = np.empty((n_p, n_d))
+        self.low = np.empty((n_p, n_d), dtype=bool)
+        self.high = np.empty((n_p, n_d), dtype=bool)
+        self.pull = np.empty((n_p, n_d))
+        self.offsets = np.empty((n_p, n_d))
+        self.radii = np.empty(n_p)
+
+    @staticmethod
+    def advance(prev: np.ndarray, acc: np.ndarray, delta_t: float, out: np.ndarray) -> np.ndarray:
+        np.multiply(acc, 0.5, out=out)
+        out *= delta_t ** 2
+        out += prev
+        return out
+
+    def retrieve(self, raw: np.ndarray, prev: np.ndarray, space: DecisionSpace,
+                 frep: float) -> np.ndarray:
+        """Retrieve raw's escaped coordinates in place and return raw."""
+        lo, hi, low, high, pull = space.lower, space.upper, self.low, self.high, self.pull
+        np.less(raw, lo, out=low)
+        np.greater(raw, hi, out=high)
+        # frep times the distance from the wall crossed (the low one where
+        # no wall was crossed; raw keeps those coordinates)
+        np.subtract(prev, lo, out=pull)
+        np.subtract(hi, prev, out=pull, where=high)
+        pull *= frep
+        np.add(lo, pull, out=raw, where=low)
+        np.subtract(hi, pull, out=raw, where=high)
+        return raw.clip(lo, hi, out=raw)
+
+    def accelerations(self, pos: np.ndarray, fit: np.ndarray, cfg: CfoConfig,
+                      space: DecisionSpace) -> np.ndarray:
+        pairs, dist, weight, dead = self.pairs, self.dist, self.weight, self.dead
+        np.subtract(pos[None, :, :], pos[:, None, :], out=pairs)
+        np.multiply(pairs, pairs, out=self.squares)
+        np.add.reduce(self.squares, axis=2, out=dist)
+        np.sqrt(dist, out=dist)
+        np.subtract(fit[None, :], fit[:, None], out=weight)
+        np.maximum(weight, 0.0, out=weight)
+        weight **= float(cfg.alpha)
+        # a probe's own pair has distance exactly 0, so it is never alive
+        np.greater(dist, COINCIDENT_REL_TOL * space.diag_length, out=self.alive)
+        np.logical_not(self.alive, out=dead)
+        dist **= float(cfg.beta)
+        np.divide(weight, dist, out=weight, where=self.alive)
+        np.copyto(weight, 0.0, where=dead)
+        np.einsum("pk,pkd->pd", weight, pairs, out=self.acc)
+        self.acc *= float(cfg.g)
+        return self.acc
+
+    def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace) -> float:
+        offsets, radii = self.offsets, self.radii
+        np.subtract(pos, reference, out=offsets)
+        offsets **= 2
+        np.add.reduce(offsets, axis=1, out=radii)
+        np.sqrt(radii, out=radii)
+        return float(np.add.reduce(radii) / (space.diag_length * (len(radii) - 1)))
+
+
 def compute_accelerations(
-    positions: np.ndarray,
-    fitness: np.ndarray,
-    cfg: CfoConfig,
-    space: DecisionSpace,
-    work: Optional[np.ndarray] = None,
+    positions: np.ndarray, fitness: np.ndarray, cfg: CfoConfig, space: DecisionSpace
 ) -> np.ndarray:
     """Pairwise gravitational update, vectorized over all probe pairs.
 
     a_p = g * sum_k mass(m_k, m_p) * (r_k - r_p) / |r_k - r_p|^beta.
     Coincident pairs, closer than 1e-14 of the space diagonal, are skipped
-    (zero contribution). work, an (n_p, n_p, n_d) float array, receives the pair
-    differences; run() passes one for all steps, because glibc returned a
-    fresh per-step array to the system on every step and faulted it in again
-    (about 1,600 page faults a step at 120 probes in 30 dimensions).
+    (zero contribution). The arrays are a throwaway _Step's; run() keeps one
+    _Step for all its steps, because glibc returned fresh per-step arrays to
+    the system on every step and faulted them in again (about 1,600 page
+    faults a step at 120 probes in 30 dimensions).
     """
     pos = np.asarray(positions, dtype=float)
     fit = np.asarray(fitness, dtype=float)
     if not np.isfinite(fit).all():
         raise EngineError("non-finite fitness passed to acceleration update")
-    n_p = pos.shape[0]
-    diff = np.subtract(pos[None, :, :], pos[:, None, :], out=work)  # [p, k, :] = r_k - r_p
-    dist = np.sqrt(np.sum(diff * diff, axis=2))       # [p, k]
-    gap = np.maximum(fit[None, :] - fit[:, None], 0.0)
-    mass = gap ** float(cfg.alpha)
-
-    alive = dist > COINCIDENT_REL_TOL * space.diag_length
-    np.fill_diagonal(alive, False)
-
-    denom = np.where(alive, dist, 1.0) ** float(cfg.beta)
-    weight = np.where(alive, mass / denom, 0.0)
-    return float(cfg.g) * np.einsum("pk,pkd->pd", weight, diff)
+    return _Step(*pos.shape).accelerations(pos, fit, cfg, space)
 
 
 def advance_positions(
     positions_prev: np.ndarray, accelerations_prev: np.ndarray, delta_t: float
 ) -> np.ndarray:
     """Kinematic step r + a t^2 / 2, no velocity term, no clamping."""
-    return np.asarray(positions_prev, dtype=float) + 0.5 * np.asarray(
-        accelerations_prev, dtype=float
-    ) * (delta_t ** 2)
+    prev = np.asarray(positions_prev, dtype=float)
+    return _Step.advance(prev, np.asarray(accelerations_prev, dtype=float), delta_t,
+                         np.empty_like(prev))
 
 
 def retrieve_errant_probes(
@@ -286,12 +350,8 @@ def retrieve_errant_probes(
     hi - frep*(hi - prev); in-bounds coordinates pass through. The final
     clip only absorbs 1-ulp rounding of the arithmetic above.
     """
-    raw = np.asarray(raw, dtype=float)
-    prev = np.asarray(prev, dtype=float)
-    lo, hi = space.lower, space.upper
-    out = np.where(raw < lo, lo + frep * (prev - lo), raw)
-    out = np.where(raw > hi, hi - frep * (hi - prev), out)
-    return np.clip(out, lo, hi)
+    out = np.array(raw, dtype=float)
+    return _Step(*out.shape).retrieve(out, np.asarray(prev, dtype=float), space, frep)
 
 
 def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> float:
@@ -299,10 +359,12 @@ def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> 
 
     The test compares the last ring slot against the mean of the last n_sat
     slots; within fit_tol the factor grows by frep_increment, and a result
-    reaching 1 wraps back to frep_init.
+    reaching 1 wraps back to frep_init. The mean is tail.mean()'s own
+    arithmetic, np.add.reduce(tail) / len(tail), without its Python wrapper.
     """
     tail = saved_best[cfg.n_saved - cfg.n_sat:]
-    if abs(float(saved_best[cfg.n_saved - 1]) - float(tail.mean())) <= cfg.fit_tol:
+    mean = np.add.reduce(tail) / len(tail)
+    if abs(float(saved_best[cfg.n_saved - 1]) - float(mean)) <= cfg.fit_tol:
         nxt = frep_current + cfg.frep_increment
         return cfg.frep_init if nxt >= 1.0 else nxt
     return frep_current
@@ -379,8 +441,7 @@ def d_avg(positions: np.ndarray, reference: np.ndarray, space: DecisionSpace) ->
     n_p = pos.shape[0]
     if n_p < 2:
         raise ValueError("spread diagnostic needs at least 2 probes")
-    dists = np.sqrt(np.sum((pos - np.asarray(reference, dtype=float)) ** 2, axis=1))
-    return float(dists.sum() / (space.diag_length * (n_p - 1)))
+    return _Step(*pos.shape).d_avg(pos, np.asarray(reference, dtype=float), space)
 
 
 def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
@@ -408,7 +469,7 @@ def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
     that took over, or -1 when none did.
     """
     taker = -1
-    for p, v in enumerate(row):
+    for p, v in enumerate(row.tolist()):
         if v >= best_v:
             best_v, taker = v, p
     return best_v, taker
@@ -424,12 +485,17 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
     escapees, evaluates all probes in one objective batch (rows in ascending
     probe order), and folds the values into the running best; when the best
     moved, it goes into ring slot (j - 1) % n_saved. Then the repositioning
-    factor is updated and the next accelerations computed. Every step, step
-    0 included, records the same diagnostics; n_eval and steps_executed
+    factor is updated and the next accelerations computed; a NaN among them
+    (the force terms overflowed) raises EngineError. Every step, step 0
+    included, records the same diagnostics; n_eval and steps_executed
     follow from the series length. Runs to n_steps, or stops at the first
     fitness saturation when early_termination is on. keep_history also
     keeps every step's fitnesses and positions in the record (in memory
     only).
+
+    The step arithmetic runs in one _Step's arrays, allocated once per run,
+    and the positions alternate between two arrays the run owns; the
+    objective always gets a copy.
     """
     cfg.validate(space)
     n_p, n_d = int(cfg.n_probes), space.n_dims
@@ -445,15 +511,16 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
             raise EngineError(f"objective failed at {where}: {exc}") from exc
         if values.shape != (n_p,):
             raise EngineError(f"objective gave shape {values.shape} at step {step}, not ({n_p},)")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))
             raise EngineError(
                 f"objective returned non-finite fitness at step {step}, probe {bad[0] + 1}"
             )
         return values
 
+    step = _Step(n_p, n_d)
     positions = init_probes(cfg.init_scheme, space, cfg)
-    work = np.empty((n_p, n_p, n_d))
+    spare = np.empty_like(positions)
     accelerations = np.zeros((n_p, n_d))
     frep = float(cfg.frep_init)
     cum_best, step_best, best_probes, davg_series, frep_series = [], [], [], [], []
@@ -463,32 +530,38 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
         cum_best.append(best_v)
         step_best.append(float(fitness.max()))
         best_probes.append(best_p)
-        davg_series.append(d_avg(positions, best_x, space))
+        davg_series.append(step.d_avg(positions, best_x, space))
         frep_series.append(frep)
         if keep_history:
             fit_hist.append(fitness.copy())
             pos_hist.append(positions.copy())
 
     fitness = evaluate_all(positions, 0)
-    row_best, taker = _absorb_row(fitness, -math.inf)
-    best_v, best_p, best_step, best_x = float(row_best), taker + 1, 0, positions[taker].copy()
+    best_v, taker = _absorb_row(fitness, -math.inf)
+    best_p, best_step, best_x = taker + 1, 0, positions[taker].copy()
     saved = np.full(cfg.n_saved, best_v)
     record_step()
 
     reason = "CompletedNt"
     for j in range(1, int(cfg.n_steps) + 1):
-        raw = advance_positions(positions, accelerations, cfg.delta_t)
-        positions = retrieve_errant_probes(raw, positions, space, frep)
-        if not space.contains(positions):
+        raw = step.advance(positions, accelerations, cfg.delta_t, spare)
+        spare, positions = positions, step.retrieve(raw, positions, space, frep)
+        # retrieval ends with a clip to the box, so a coordinate outside it
+        # is a NaN, and np.maximum passes any NaN on
+        if math.isnan(np.maximum.reduce(positions, axis=None)):
             raise InvariantError(f"probe escaped containment at step {j}")
 
         fitness = evaluate_all(positions, j)
         row_best, taker = _absorb_row(fitness, best_v)
         if taker >= 0:
-            best_v, best_p, best_step, best_x = float(row_best), taker + 1, j, positions[taker].copy()
+            best_v, best_p, best_step, best_x = row_best, taker + 1, j, positions[taker].copy()
             saved[(j - 1) % cfg.n_saved] = best_v
         frep = update_frep(saved, frep, cfg)
-        accelerations = compute_accelerations(positions, fitness, cfg, space, work)
+        accelerations = step.accelerations(positions, fitness, cfg, space)
+        if math.isnan(np.maximum.reduce(accelerations, axis=None)):
+            bad = np.flatnonzero(np.isnan(accelerations).any(axis=1))
+            raise EngineError(f"acceleration is NaN at step {j}, probe {bad[0] + 1}: "
+                              "a force term overflowed (check alpha and beta)")
         record_step()
 
         if cfg.early_termination and detect_fitness_saturation(step_best, j, cfg):

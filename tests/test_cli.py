@@ -150,6 +150,27 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert "dimensions" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_force_update_is_an_objective_error(tmp_path, capsys):
+    # gap ** alpha overflows to inf, and inf * 0 makes NaN accelerations
+    doc = {"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 20, "alpha": 1e308},
+           "outputs": {"dir": str(tmp_path / "out")}}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+    assert "objective error: acceleration is NaN at step 1, probe 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_infinite_accelerations_are_retrieved(tmp_path):
+    # g * sum overflows only to +-inf; retrieval pulls those probes back
+    # inside the box and the run completes (test_golden pins its bytes)
+    doc = {"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 20, "g": 1e308},
+           "outputs": {"dir": str(tmp_path / "out")}}
+    assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == 0
+    record = json.loads((tmp_path / "out" / "record.json").read_text(encoding="utf-8"))
+    assert record["final"]["steps_executed"] == 20
+    assert all(math.isfinite(v) for v in record["series"]["d_avg"])
+
+
 def test_external_failure_exit_code(tmp_path, capsys, spawned):
     doc = {
         "objective": {

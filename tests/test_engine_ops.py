@@ -113,6 +113,22 @@ def test_update_frep_holds_when_ring_moves():
     assert update_frep(ring, 0.5, cfg) == 0.5
 
 
+def test_update_frep_takes_the_tail_mean_to_the_bit():
+    # fit_tol is set to the exact gap tail.mean() gives, and to one ulp
+    # below it, so a mean that differs in its last bit flips the decision
+    rng = np.random.default_rng(1234)
+    for n_saved in range(1, 13):
+        for n_sat in range(1, n_saved + 1):
+            for _ in range(20):
+                ring = rng.normal(rng.uniform(-1e3, 1e3), 10 ** rng.uniform(-9, 1), n_saved)
+                gap = abs(float(ring[-1]) - float(ring[n_saved - n_sat:].mean()))
+                for tol in (gap, float(np.nextafter(gap, 0.0))):
+                    cfg = CfoConfig(n_probes=2, n_steps=1, n_saved=n_saved, n_sat=n_sat,
+                                    fit_tol=tol)
+                    want = 0.5 + cfg.frep_increment if gap <= tol else 0.5
+                    assert update_frep(ring, 0.5, cfg) == want
+
+
 def test_init_on_axis_unit_square():
     space = DecisionSpace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     cfg = CfoConfig(n_probes=4, n_steps=1, gamma=0.5)

@@ -7,6 +7,17 @@ import numpy as np
 import pytest
 
 from cfobench import CfoConfig, DecisionSpace, EngineError, get_objective, run
+from cfobench.acceptance import naive_engine_step
+from cfobench.engine import (
+    advance_positions,
+    compute_accelerations,
+    d_avg,
+    detect_fitness_saturation,
+    init_probes,
+    retrieve_errant_probes,
+    update_frep,
+)
+from cfobench.objectives import batch_form
 
 
 def quad_objective(x):
@@ -195,3 +206,141 @@ def test_batch_of_the_wrong_shape_is_refused():
 
     with pytest.raises(EngineError, match=r"shape \(3,\) at step 0, not \(4,\)"):
         run(CfoConfig(n_probes=4, n_steps=2), UNIT_BOX, Short())
+
+
+def replay(cfg, space, objective):
+    """run()'s loop rebuilt from the public step functions, with the running
+    best kept by _absorb_row's rule: scanning probes in order, every value
+    >= the best so far takes over."""
+    batch = batch_form(objective)
+    positions = init_probes(cfg.init_scheme, space, cfg)
+    acc = np.zeros_like(positions)
+    frep = cfg.frep_init
+    best, probe, best_step = -math.inf, 0, 0
+    series = {name: [] for name in ("best_fitness", "step_best_fitness", "best_probe",
+                                    "d_avg", "frep")}
+    fits, points = [], []
+    reason = "CompletedNt"
+    for j in range(cfg.n_steps + 1):
+        if j:
+            raw = advance_positions(positions, acc, cfg.delta_t)
+            positions = retrieve_errant_probes(raw, positions, space, frep)
+        fitness = np.asarray(batch(positions.copy(), step=j), dtype=float)
+        moved = False
+        for p, v in enumerate(fitness.tolist()):
+            if v >= best:
+                best, probe, best_step, moved = v, p + 1, j, True
+        if moved:
+            best_x = positions[probe - 1].copy()
+        if j == 0:
+            ring = np.full(cfg.n_saved, best)
+        else:
+            if moved:
+                ring[(j - 1) % cfg.n_saved] = best
+            frep = update_frep(ring, frep, cfg)
+            acc = compute_accelerations(positions, fitness, cfg, space)
+        for name, value in zip(series, (best, float(fitness.max()), probe,
+                                        d_avg(positions, best_x, space), frep)):
+            series[name].append(value)
+        fits.append(fitness)
+        points.append(positions)
+        if j and cfg.early_termination and detect_fitness_saturation(
+                series["step_best_fitness"], j, cfg):
+            reason = "FitnessSaturated"
+            break
+    final = (best, probe, best_step, best_x.tolist(), reason)
+    return series, np.asarray(fits), np.asarray(points), final
+
+
+def _replay_configs():
+    """44 seeded (objective, config) pairs: 1 to 30 dimensions, 2 to 120
+    probes, every init scheme, g, delta_t, alpha, beta, n_sat and frep_init
+    away from their defaults, and early termination."""
+    rng = np.random.default_rng(20261019)
+    fixed = [("gp", {}), ("himmelblau", {}), ("colville", {}), ("parrott_f4", {})]
+    cases = []
+    for i in range(44):
+        if i % 3 == 0:
+            obj_id, options = fixed[(i // 3) % len(fixed)]
+        else:
+            obj_id = ("step", "schwefel_226", "griewank")[(i // 3) % 3]
+            options = {"n_dims": 30 if i % 11 == 1 else int(rng.integers(1, 9))}
+        obj = get_objective(obj_id, **options)
+        n_d = obj.bounds.n_dims
+        n_p = 120 if i % 11 == 1 else int(rng.integers(2, 17))
+        fields = {"n_probes": n_p, "n_steps": 12 if n_p * n_d > 500 else 60,
+                  "init_scheme": "off_diagonal"}
+        if n_p % n_d == 0 and n_p // n_d >= 2 and i % 2:
+            fields.update(init_scheme="on_axis", gamma=float(rng.uniform(0, 1)))
+        elif i % 4 == 2:
+            lo, hi = obj.bounds.lower, obj.bounds.upper
+            fields.update(init_scheme="custom", initial_probes=rng.uniform(lo, hi, (n_p, n_d)))
+        elif n_d == 2 and n_p < 100:
+            fields.update(n_probes=9, init_scheme="grid_2d")
+        if i % 4:
+            n_saved = int(rng.integers(1, 7))
+            fields.update(g=float(rng.uniform(0.5, 6)), delta_t=float(rng.uniform(0.5, 1.5)),
+                          alpha=float(rng.uniform(0.5, 3)), beta=float(rng.uniform(0.5, 3)),
+                          n_saved=n_saved, n_sat=int(rng.integers(1, n_saved + 1)),
+                          frep_init=float(rng.uniform(0.05, 1.0)))
+        if i % 5 == 0:
+            fields.update(n_steps=200, n_avg_steps=10, early_termination=True)
+        cases.append((obj, CfoConfig(**fields)))
+    return cases
+
+
+def test_run_equals_a_replay_of_the_public_step_functions():
+    cases = _replay_configs()
+    reasons, dims, probes = set(), set(), set()
+    for obj, cfg in cases:
+        rec = run(cfg, obj.bounds, obj, keep_history=True)
+        series, fits, points, final = replay(cfg, obj.bounds, obj)
+        for name, values in series.items():
+            assert getattr(rec, name) == values, (obj.id, cfg, name)
+        # both histories to the bit
+        assert rec.fitness_history.tobytes() == fits.tobytes()
+        assert rec.positions_history.tobytes() == points.tobytes()
+        assert (rec.final_best_fitness, rec.final_best_probe, rec.final_best_step,
+                rec.best_point.tolist(), rec.termination_reason) == final
+        reasons.add(rec.termination_reason)
+        dims.add(obj.bounds.n_dims)
+        probes.add(cfg.n_probes)
+    assert len(cases) >= 40
+    assert reasons == {"CompletedNt", "FitnessSaturated"}
+    assert min(dims) == 1 and max(dims) == 30 and min(probes) == 2 and max(probes) == 120
+
+
+def test_runs_of_different_shapes_back_to_back():
+    # each run sizes its own arrays, so a run is the same after any other
+    small = (get_objective("gp"), CfoConfig(n_probes=8, n_steps=40, g=5.0))
+    large = (get_objective("schwefel_226", n_dims=30), CfoConfig(n_probes=60, n_steps=10))
+    first = [run(cfg, obj.bounds, obj).to_json() for obj, cfg in (small, large)]
+    again = [run(cfg, obj.bounds, obj).to_json() for obj, cfg in (large, small)]
+    assert first == again[::-1]
+
+
+COINCIDENT = np.array([[0.2, 0.3], [0.2, 0.3], [0.8, -0.5], [-0.4, 0.1]])
+
+
+def test_coincident_probes_skip_their_pair():
+    cfg = CfoConfig(n_probes=4, n_steps=1)
+    fitness = np.array([0.0, 1.0, 2.0, -1.0])
+    acc = compute_accelerations(COINCIDENT, fitness, cfg, UNIT_BOX)
+    assert np.isfinite(acc).all()
+    _, want = naive_engine_step(COINCIDENT, fitness, np.zeros_like(COINCIDENT), cfg, UNIT_BOX, 0.5)
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.max(np.abs(acc - want) / scale) <= 1e-12
+    # probe 1 feels probe 3 alone: its coincident partner adds nothing
+    rest = compute_accelerations(COINCIDENT[[0, 2, 3]], fitness[[0, 2, 3]], cfg, UNIT_BOX)
+    assert np.max(np.abs(acc[0] - rest[0]) / np.maximum(1.0, np.abs(rest[0]))) <= 1e-12
+
+
+def test_run_with_coincident_probes_is_finite_and_repeatable():
+    cfg = CfoConfig(n_probes=4, n_steps=60, init_scheme="custom", initial_probes=COINCIDENT)
+    a = run(cfg, UNIT_BOX, quad_objective, keep_history=True)
+    b = run(cfg, UNIT_BOX, quad_objective, keep_history=True)
+    assert a.to_json() == b.to_json()
+    assert a.positions_history.tobytes() == b.positions_history.tobytes()
+    assert np.isfinite(a.positions_history).all() and np.isfinite(a.d_avg).all()
+    # equal fitness and equal forces: the pair stays coincident every step
+    assert np.array_equal(a.positions_history[:, 0], a.positions_history[:, 1])

@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of record.json for seven short runs, and of
+"""Golden SHA-256 digests of record.json for nine short runs, and of
 summary.csv and summary.txt for one sweep and one single run.
 
 Byte-identical records are guaranteed per platform and numpy build (see the
@@ -41,6 +41,13 @@ RUNS = {  # name: (objective block, cfo block, record.json SHA-256)
              "f730dc561b4c401b4611503983754e21891ac682ac0d61e9bec2a50b09435fcd"),
     "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, {"n_probes": 10, "n_steps": 6},
                "62a692498519402464efc3fb6789878d1b711e9f68b959f2f2e1d415bd8eb525"),
+    # the force update away from g=2, delta_t=1, alpha=beta=2 and n_sat=3
+    "colville_forces": ("colville", {"n_probes": 8, "n_steps": 100, "g": 5.0, "delta_t": 0.75,
+                                     "alpha": 1.5, "beta": 3.0, "n_sat": 2},
+                        "eefeabedbabe692cb82be29115f4deb922dd55fd2ead9e1b63c2ac1ff1252ec1"),
+    # g * sum overflows to +-inf accelerations, which retrieval absorbs
+    "gp_g_overflow": ("gp", {"n_probes": 8, "n_steps": 20, "g": 1e308},
+                      "b4e3f03819d1426b5bd92df858615c4ffa82e8cd36c68c6f0762347c116e87db"),
 }
 
 
@@ -68,6 +75,7 @@ def record_digest(tmp_path, objective, cfo) -> str:
     return hashlib.sha256((tmp_path / "out" / "record.json").read_bytes()).hexdigest()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_record_digest(tmp_path, name):
     if _this_build() != BUILD:

@@ -7,7 +7,9 @@
 `run` executes, with the package in CHECKOUT/src (default: this checkout),
 every benchmark operation of perfbench/workloads.py at seeds 0 and 1 at
 full size, plus the extra runs and oracles below: every init scheme, noise,
-an external child, early termination, a --seed override sweep, a noisy
+an external child, early termination, a run with g, delta_t, alpha, beta
+and n_sat all away from their defaults, a run whose first two probes
+coincide throughout, a --seed override sweep, a noisy
 `pbm1` run, 10- and 3-element `pbm5` runs, a 2-element `pbm5` oracle over
 401 spacings (each a distinct geometry, so each a power miss), a `pbm3`
 oracle finer than the benchmark's, a 3-run `pbm3` gamma sweep (each run
@@ -51,6 +53,11 @@ EXTRA = {  # name: (objective, cfo block)
     "pbm1_noisy": ({"id": "pbm1", "options": {"noise": {"seed": 11}}}, {"n_probes": 8, "n_steps": 30}),
     "pbm5_10": ("pbm5", {"n_probes": 18, "n_steps": 2}),
     "pbm5_3": ({"id": "pbm5", "options": {"n_elements": 3}}, {"n_probes": 8, "n_steps": 20}),
+    "colville_forces": ("colville", {"n_probes": 8, "n_steps": 100, "g": 5.0, "delta_t": 0.75,
+                                     "alpha": 1.5, "beta": 3.0, "n_sat": 2}),
+    "himmelblau_coincident": ("himmelblau", {"n_probes": 4, "n_steps": 100, "init_scheme": "custom",
+                                             "initial_probes": [[1.0, 1.0], [1.0, 1.0], [-3.0, 2.0],
+                                                                [4.0, -4.0]]}),
 }
 for _g in (0.0, 0.5, 1.0):
     for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
