@@ -175,13 +175,8 @@ def naive_engine_step(positions, fitness, accelerations, cfg, space, frep):
 # shared benchmark runs (cached; criterion 2 reruns every one fresh)
 
 
-@lru_cache(maxsize=None)
-def _objective(obj_id: str, **options):
-    return get_objective(obj_id, **options)
-
-
 def _run_analytic(func_id: str, gamma: float) -> RunRecord:
-    objective = _objective(func_id)
+    objective = get_objective(func_id)
     space = objective.bounds
     cfg = CfoConfig(
         n_probes=default_probe_count(space.n_dims),
@@ -207,7 +202,7 @@ def _analytic_sweep(func_id: str):
 
 
 def _dipole_run() -> RunRecord:
-    objective = _objective("pbm1")
+    objective = get_objective("pbm1")
     cfg = CfoConfig(
         n_probes=4,
         n_steps=DIPOLE_RUN_STEPS,
@@ -231,7 +226,7 @@ def _linear_run(noise: Optional[dict]) -> RunRecord:
 
 
 def _circular_run() -> RunRecord:
-    objective = _objective("pbm3")
+    objective = get_objective("pbm3")
     cfg = CfoConfig(
         n_probes=10,
         n_steps=CIRCULAR_RUN_STEPS,
@@ -242,7 +237,7 @@ def _circular_run() -> RunRecord:
 
 
 def _collinear_run(n_elements: int) -> RunRecord:
-    objective = _objective("pbm5", n_elements=n_elements)
+    objective = get_objective("pbm5", n_elements=n_elements)
     space = objective.bounds
     cfg = CfoConfig(
         n_probes=2 * space.n_dims,
@@ -340,9 +335,9 @@ def criterion_1() -> Verdict:
 
 def criterion_2() -> Verdict:
     # the cached runs are shared with later criteria, so their build time is
-    # reported apart from the time to rerun them. The rerun starts cold: a
-    # fresh objective per run and an empty power cache, so every power
-    # integral the runs need is computed again.
+    # reported apart from the time to rerun them. The rerun starts cold: each
+    # builder makes a fresh objective, whose power memo is empty, so every
+    # power integral the runs need is computed again.
     t0 = time.perf_counter()
     cases: List[Tuple[str, RunRecord, Callable[[], RunRecord]]] = []
     for func_id, *_ in ANALYTIC_TARGETS:
@@ -350,8 +345,6 @@ def criterion_2() -> Verdict:
         cases.append((func_id, best, partial(_run_analytic, func_id, gamma)))
     cases += [(name, _shared_run(name), build) for name, build in SHARED_RUNS.items()]
     t1 = time.perf_counter()
-    _objective.cache_clear()
-    antenna.clear_power_cache()
     mismatched = [
         name for name, cached, fresh in cases if cached.to_json() != fresh().to_json()
     ]
@@ -384,9 +377,10 @@ def criterion_3() -> Verdict:
 
 
 def criterion_4() -> Verdict:
-    oracle = grid_oracle(_objective("pbm1"), resolution=DIPOLE_ORACLE_RESOLUTION)
+    objective = get_objective("pbm1")
+    oracle = grid_oracle(objective, resolution=DIPOLE_ORACLE_RESOLUTION)
     record = _shared_run("dipole")
-    space = _objective("pbm1").bounds
+    space = objective.bounds
 
     d_len = abs(oracle.argmax[0] - DIPOLE_TARGET_POINT[0])
     d_ang = abs(oracle.argmax[1] - DIPOLE_TARGET_POINT[1])
@@ -410,7 +404,7 @@ def criterion_4() -> Verdict:
 
 def criterion_5() -> Verdict:
     sharpened = _sharpened_oracle(
-        _objective("pbm2"), LINEAR_ORACLE_RESOLUTION, (0.06, math.pi / 90)
+        get_objective("pbm2"), LINEAR_ORACLE_RESOLUTION, (0.06, math.pi / 90)
     )
     theta_star = float(sharpened.argmax[1])
     theta_ok = abs(theta_star - math.pi / 2) <= 0.02
@@ -432,7 +426,7 @@ def criterion_5() -> Verdict:
 
 
 def criterion_6() -> Verdict:
-    objective = _objective("pbm3")
+    objective = get_objective("pbm3")
     candidates = [objective.evaluate([i - 0.5, math.pi / 2]) for i in (1, 2, 3, 4)]
     spread = _rel_err(candidates[1:], candidates[:-1])
     equal_ok = all(
@@ -459,7 +453,7 @@ def criterion_7() -> Verdict:
     bits = []
     ok = True
     for n_el, target in COLLINEAR_TARGET_VALUE.items():
-        objective = _objective("pbm5", n_elements=n_el)
+        objective = get_objective("pbm5", n_elements=n_el)
         # uniform-spacing 1-D sweep: all inter-element gaps share one value
         sharpened = _sharpened_oracle(
             lambda x: objective.evaluate([float(x[0])] * (n_el - 1)),

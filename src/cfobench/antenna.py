@@ -26,8 +26,10 @@ strung on the y axis (octant_power's bits from the octant's upper
 triangle, about 1/16 of the nodes, when n_phi = 2 n_theta), or
 CouplingMatrix.power for a fixed planar array whose excitations vary
 (Re(e^H K e), an N x N product once K is built).
-radiated_power calls the form only on a power-cache miss, so a form that
-builds its pattern when called builds it only then.
+radiated_power can memoize powers by key in a dict its caller owns (each
+antenna objective keeps one) and calls the form only on a miss, so a form
+that builds its pattern when called builds it only then. The module keeps
+no power state; only the mesh nodes are shared.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
 spacings that broadcast with theta, so a batch of steering amplitudes is
@@ -49,6 +51,7 @@ _SIN_EPS = 1e-12
 DEFAULT_N_THETA = 256
 DEFAULT_N_PHI = 512
 ELEMENT_LENGTH = 0.5  # wavelengths; every array element is a half-wave dipole
+RING_ELEMENTS = 8  # the circular array's element count
 
 
 class DegeneratePatternError(ValueError):
@@ -127,17 +130,18 @@ def linear_array_spec(d: float, n_elements: int = 10) -> ArraySpec:
     return ArraySpec(positions, np.ones(n_elements, dtype=complex), np.array([0.0, 0.0, 1.0]))
 
 
-def ring_excitations(beta: float, n_elements: int = 8) -> np.ndarray:
+def ring_excitations(beta: float) -> np.ndarray:
     """The ring's cosine phase law: unit weights of phase alpha_n = -cos(2 pi beta (n-1))."""
-    alphas = [-math.cos(TWO_PI * beta * (n - 1)) for n in range(1, n_elements + 1)]
+    alphas = [-math.cos(TWO_PI * beta * (n - 1)) for n in range(1, RING_ELEMENTS + 1)]
     return np.array([complex(math.cos(a), math.sin(a)) for a in alphas])
 
 
-def circular_array_spec(beta: float, n_elements: int = 8, radius: float = 1.0) -> ArraySpec:
-    """Ring of z-dipoles in the z=0 plane, excited by ring_excitations(beta)."""
-    ang = [TWO_PI * (n - 1) / n_elements for n in range(1, n_elements + 1)]
-    positions = np.array([(radius * math.cos(a), radius * math.sin(a), 0.0) for a in ang])
-    return ArraySpec(positions, ring_excitations(beta, n_elements), np.array([0.0, 0.0, 1.0]))
+def circular_array_spec(beta: float) -> ArraySpec:
+    """Ring of RING_ELEMENTS z-dipoles of radius 1 wavelength in the z=0
+    plane, excited by ring_excitations(beta)."""
+    ang = [TWO_PI * (n - 1) / RING_ELEMENTS for n in range(1, RING_ELEMENTS + 1)]
+    positions = np.array([(math.cos(a), math.sin(a), 0.0) for a in ang])
+    return ArraySpec(positions, ring_excitations(beta), np.array([0.0, 0.0, 1.0]))
 
 
 def collinear_array_spec(spacings) -> ArraySpec:
@@ -192,8 +196,7 @@ def uniform_line_field(d, n_elements: int, theta, phi):
 # directivity quadrature
 
 _MESH_CACHE: dict = {}
-_POWER_CACHE: dict = {}
-_POWER_CACHE_LIMIT = 1 << 18
+_MEMO_LIMIT = 1 << 18
 _PW_BLOCK = 128  # leaf size of numpy's pairwise summation
 
 
@@ -439,34 +442,34 @@ def radiated_power(
     n_phi: int = DEFAULT_N_PHI,
     power_key=None,
     mesh_sum: Optional[Callable] = None,
+    memo: Optional[dict] = None,
 ) -> float:
     """Integral of |F|^2 sin(theta) over the sphere, fixed midpoint rule.
 
-    power_key, when given, memoizes the result for repeated calls on the
-    same geometry; the key must determine the pattern. mesh_sum, when given,
-    is a callable (n_theta, n_phi) -> power that evaluates the same sum on
-    the same nodes in a cheaper exact form (axisymmetric_power, octant_power,
-    UniformLinePower.power, CollinearPower.power, CouplingMatrix.power) and
-    is called only on a cache miss; pattern is then unused and may be None.
-    Without mesh_sum every node of pattern is summed.
+    power_key and memo, when both given, memoize the result in memo, a dict
+    the caller owns, for repeated calls on the same geometry; the key must
+    determine the pattern. A memo is emptied wholesale when it reaches 2^18
+    entries. mesh_sum, when given, is a callable (n_theta, n_phi) -> power
+    that evaluates the same sum on the same nodes in a cheaper exact form
+    (axisymmetric_power, octant_power, UniformLinePower.power,
+    CollinearPower.power, CouplingMatrix.power) and is called only on a memo
+    miss; pattern is then unused and may be None. Without mesh_sum every
+    node of pattern is summed.
     """
-    if power_key is not None:
-        cached = _POWER_CACHE.get((power_key, n_theta, n_phi))
+    full_key = (power_key, n_theta, n_phi)
+    if memo is not None and power_key is not None:
+        cached = memo.get(full_key)
         if cached is not None:
             return cached
     if mesh_sum is None:
         power = _midpoint_sum(pattern, n_theta, n_phi, n_theta, n_phi)
     else:
         power = mesh_sum(n_theta, n_phi)
-    if power_key is not None:
-        if len(_POWER_CACHE) >= _POWER_CACHE_LIMIT:
-            _POWER_CACHE.clear()
-        _POWER_CACHE[(power_key, n_theta, n_phi)] = power
+    if memo is not None and power_key is not None:
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        memo[full_key] = power
     return power
-
-
-def clear_power_cache() -> None:
-    _POWER_CACHE.clear()
 
 
 def directivity(
@@ -477,7 +480,7 @@ def directivity(
     n_phi: int = DEFAULT_N_PHI,
     mesh_sum: Optional[Callable] = None,
 ) -> float:
-    """4 pi |F(theta0, phi0)|^2 over the radiated power, with no power cache.
+    """4 pi |F(theta0, phi0)|^2 over the radiated power, computed afresh.
 
     The reference the antenna objectives reproduce bit for bit.
     Deterministic by construction: fixed node set, fixed summation order.

@@ -97,6 +97,8 @@ class CfoConfig:
             raise ConfigError("n_steps: need at least 1 step")
         if not self.delta_t > 0:
             raise ConfigError("delta_t: must be > 0")
+        if not math.isfinite(self.delta_t * self.delta_t):
+            raise ConfigError("delta_t: its square must be a finite number")
         if not self.alpha > 0:
             raise ConfigError("alpha: must be > 0")
         if not self.beta > 0:

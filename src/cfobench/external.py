@@ -276,8 +276,9 @@ def serve_objective(fn, stdin=None, stdout=None) -> int:
 # built-in evaluators (test fixtures and protocol demos)
 
 
-def _serve_constant(value: float) -> int:
-    return serve_objective(lambda coords: value)
+def _serve_echo() -> int:
+    # the same fitness for every point
+    return serve_objective(lambda coords: 1.5)
 
 
 def _serve_quadratic() -> int:
@@ -292,11 +293,12 @@ def _serve_malformed() -> int:
     return 0
 
 
-def _serve_sleepy(delay: float) -> int:
+def _serve_sleepy() -> int:
+    # handshakes correctly, then stalls an hour before each reply
     print(HANDSHAKE, flush=True)
     for line in sys.stdin:
         if line.strip():
-            time.sleep(delay)
+            time.sleep(3600.0)
             print("FITNESS 0", flush=True)
     return 0
 
@@ -317,27 +319,15 @@ def main(argv=None) -> int:
         choices=["quadratic", "echo", "malformed", "sleepy", "badshake"],
         help="which built-in evaluator to run",
     )
-    parser.add_argument(
-        "--value",
-        type=float,
-        default=1.5,
-        help="fitness returned by the echo evaluator (default 1.5)",
-    )
-    parser.add_argument(
-        "--delay",
-        type=float,
-        default=3600.0,
-        help="seconds the sleepy evaluator stalls before each reply",
-    )
     args = parser.parse_args(argv)
     if args.name == "quadratic":
         return _serve_quadratic()
     if args.name == "echo":
-        return _serve_constant(args.value)
+        return _serve_echo()
     if args.name == "malformed":
         return _serve_malformed()
     if args.name == "sleepy":
-        return _serve_sleepy(args.delay)
+        return _serve_sleepy()
     return _serve_badshake()
 
 

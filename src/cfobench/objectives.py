@@ -135,10 +135,10 @@ def _himmelblau_rows(X):
 
 # ---------------------------------------------------------------------------
 # antenna surrogate objectives: each id is two functions. power(x) gives the
-# row's power-cache key and the exact cheaper form of radiated_power's sum on
-# the same nodes; the form builds its pattern only when called, which
-# radiated_power does only on a cache miss. steering(rows) gives
-# |F(theta0, phi0)| for the whole batch.
+# row's power key and the exact cheaper form of radiated_power's sum on the
+# same nodes; the form builds its pattern only when called, which
+# radiated_power does only on a miss in the objective's own memo.
+# steering(rows) gives |F(theta0, phi0)| for the whole batch.
 
 
 def _pbm1_power(x):
@@ -154,19 +154,22 @@ def _pbm1_steering(rows):
 
 def _antenna_factory(power, steering, bounds):
     """Directivity per row, with the bits of antenna.directivity: each row's
-    power goes through radiated_power with its power key (a cache hit on a
-    repeat), then steering(rows) gives the batch's amplitudes."""
-
-    def row_power(x, _step, _probe):
-        key, mesh_sum = power(x)
-        total = antenna.radiated_power(None, power_key=key, mesh_sum=mesh_sum)
-        if total == 0.0:
-            raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
-        return total
-
-    powers = row_loop(row_power)
+    power goes through radiated_power with its power key and the objective's
+    memo (a hit on a repeat), then steering(rows) gives the batch's
+    amplitudes. Each objective the factory builds owns its memo."""
 
     def factory(obj_id):
+        memo = {}
+
+        def row_power(x, _step, _probe):
+            key, mesh_sum = power(x)
+            total = antenna.radiated_power(None, power_key=key, mesh_sum=mesh_sum, memo=memo)
+            if total == 0.0:
+                raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
+            return total
+
+        powers = row_loop(row_power)
+
         def evaluate_batch(rows, step=0):
             rows = np.asarray(rows, dtype=float)
             total = powers(rows)

@@ -168,13 +168,13 @@ def test_collinear_rejects_overlapping_elements():
 
 
 def test_power_cache_hit_is_bitwise():
-    antenna.clear_power_cache()
     pat = uniform_line_pattern(5.1)
-    first = radiated_power(pat, power_key=("cache-test", 5.1))
-    again = radiated_power(pat, power_key=("cache-test", 5.1))
+    memo = {}
+    first = radiated_power(pat, power_key=("memo-test", 5.1), memo=memo)
+    assert len(memo) == 1
+    again = radiated_power(pat, power_key=("memo-test", 5.1), memo=memo)
     assert first == again
-    antenna.clear_power_cache()
-    recomputed = radiated_power(pat, power_key=("cache-test", 5.1))
+    recomputed = radiated_power(pat, power_key=("memo-test", 5.1), memo={})
     assert recomputed == first
 
 

@@ -232,7 +232,7 @@ def test_sweep_summary(tmp_path, capsys):
      {"parameter": "seed", "start": 1, "stop": 4, "count": 4}),
 ])
 def test_sweep_jobs_do_not_change_the_output(tmp_path, objective, sweep):
-    # the threads share the module-level power cache
+    # each run builds its own objective, so the threads share no power memo
     trees = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
@@ -467,6 +467,18 @@ def test_negative_fitness_sat_tol_exits_2(tmp_path, capsys, command):
         doc["sweep"] = {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 2}
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
     assert "fitness_sat_tol: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_delta_t_with_an_overflowing_square_exits_2(tmp_path, capsys, command):
+    # the position update multiplies by delta_t ** 2, which overflows here
+    doc = {"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 20, "delta_t": 1e200},
+           "outputs": {"dir": str(tmp_path / "out")}}
+    if command == "sweep":
+        doc["sweep"] = {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 2}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "delta_t: its square must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

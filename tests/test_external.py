@@ -20,7 +20,7 @@ SERVE = [sys.executable, "-m", "cfobench.external"]
 
 
 def test_echo_round_trip():
-    with ExternalObjective(SERVE + ["echo", "--value", "1.5"]) as client:
+    with ExternalObjective(SERVE + ["echo"]) as client:
         assert client.evaluate([0.3, 0.7]) == 1.5
         assert client.evaluate([2.0, -2.0], step=4, probe=2) == 1.5
         assert client.n_evaluations == 2

@@ -201,6 +201,38 @@ def test_antenna_objectives_match_the_pattern_layer():
     assert 5.0 < val < 20.0
 
 
+def _count_line_powers(monkeypatch):
+    computed = []
+    power = antenna.UniformLinePower.power
+
+    def spy(self, d, *args):
+        computed.append(d)
+        return power(self, d, *args)
+
+    monkeypatch.setattr(antenna.UniformLinePower, "power", spy)
+    return computed
+
+
+def test_antenna_objectives_do_not_share_power_state(monkeypatch):
+    computed = _count_line_powers(monkeypatch)
+    row = [5.85, math.pi / 2]
+    first = get_objective("pbm2").evaluate(row)
+    second = get_objective("pbm2").evaluate(row)
+    assert first == second
+    assert computed == [5.85, 5.85]
+
+
+def test_antenna_batch_computes_each_distinct_power_once(monkeypatch):
+    computed = _count_line_powers(monkeypatch)
+    obj = get_objective("pbm2")
+    rows = [[6.0, 1.0], [7.0, 1.5], [6.0, 0.5], [7.0, 1.5], [6.0, 1.0]]
+    values = obj.evaluate_batch(rows)
+    assert computed == [6.0, 7.0]
+    assert values[0] == values[4] and values[1] == values[3]
+    obj.evaluate_batch(rows)
+    assert computed == [6.0, 7.0]
+
+
 @pytest.mark.parametrize("obj_id,option", [
     *[(f"pbm{n}", name) for n in (1, 2, 3, 5) for name in ("n_theta", "n_phi")],
     ("pbm2", "n_elements"),

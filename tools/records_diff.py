@@ -13,15 +13,16 @@ coincide throughout, a --seed override sweep, a noisy
 `pbm1` run, 10- and 3-element `pbm5` runs, a 2-element `pbm5` oracle over
 401 spacings (each a distinct geometry, so each a power miss), a `pbm3`
 oracle finer than the benchmark's, a 3-run `pbm3` gamma sweep (each run
-builds its own ring and coupling matrix), a 3-run `external` gamma sweep
-whose command is one shell-quoted string (each run splits it and starts its
-own child), and the history outputs the benchmark leaves out (probe
-snapshots alone in 2-D and in 3-D, where none are written, and a sweep with
-trajectories). `diff` compares the two output trees file by file (the
-configs name their own directory, so the first tree's path is replaced by
-the second's) and exits 1 when any file differs. `run` refuses an output
-directory that exists and is not empty, with exit 2, before it writes
-anything.
+builds its own ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
+threads (each run builds its own objective and power memo), a 3-run
+`external` gamma sweep whose command is one shell-quoted string (each run
+splits it and starts its own child), and the history outputs the benchmark
+leaves out (probe snapshots alone in 2-D and in 3-D, where none are
+written, and a sweep with trajectories). `diff` compares the two output
+trees file by file (the configs name their own directory, so the first
+tree's path is replaced by the second's) and exits 1 when any file differs.
+`run` refuses an output directory that exists and is not empty, with exit
+2, before it writes anything.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ EXTRA = {  # name: (objective, cfo block)
 for _g in (0.0, 0.5, 1.0):
     for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
         EXTRA[f"{_f}_g{_g}"] = (_f, {"n_steps": 100, "gamma": _g})
-CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep block runs a sweep
+CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep block runs a sweep,
+    # on "jobs" threads (default 1)
     "gp_snapshots": ("gp", {"cfo": {"n_probes": 8, "n_steps": 50}, "outputs": {"probe_snapshots": True}}),
     "step3_snapshots": ({"id": "step", "options": {"n_dims": 3}}, {"cfo": {"n_probes": 9, "n_steps": 50},
                                                                   "outputs": {"probe_snapshots": True}}),
@@ -70,6 +72,9 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
                                        "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
     "pbm3_sweep": ("pbm3", {"cfo": {"n_probes": 6, "n_steps": 20}, "outputs": {},
                             "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
+    "pbm2_sweep_jobs2": ("pbm2", {"cfo": {"n_probes": 8, "n_steps": 20}, "outputs": {},
+                                  "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 6},
+                                  "jobs": 2}),
     "external_string_sweep": (dict(EXTERNAL, options=dict(EXTERNAL["options"],
                                                           command=shlex.join(EXTERNAL["options"]["command"]))),
                               {"cfo": {"n_probes": 6, "n_steps": 30}, "outputs": {"trajectories": True},
@@ -125,10 +130,11 @@ def run(out: Path):
                              outputs={"dir": str(out / "extra" / name), "trajectories": True})
         cli.run_benchmark(cli.load_config(path), quiet=True)
     for name, (objective, blocks) in CONFIGS.items():
-        outputs = dict(blocks["outputs"], dir=str(out / "extra" / name))
-        spec = cli.load_config(_write_config(out, name, objective, **dict(blocks, outputs=outputs)))
+        blocks = dict(blocks, outputs=dict(blocks["outputs"], dir=str(out / "extra" / name)))
+        jobs = blocks.pop("jobs", 1)
+        spec = cli.load_config(_write_config(out, name, objective, **blocks))
         if "sweep" in blocks:
-            cli.sweep_runs(spec, quiet=True)
+            cli.sweep_runs(spec, jobs=jobs, quiet=True)
         else:
             cli.run_benchmark(spec, quiet=True)
     for name, (objective, resolution) in EXTRA_ORACLES.items():
