@@ -32,8 +32,9 @@ that builds its pattern when called builds it only then. The module keeps
 no power state; only the mesh nodes are shared.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
-spacings that broadcast with theta, so a batch of steering amplitudes is
-one array call with the same bits as one call per geometry.
+spacings that broadcast with theta, and array_pattern_rows takes one row of
+excitations per direction, so a batch of steering amplitudes is one array
+call with the same bits as one call per geometry.
 """
 
 from __future__ import annotations
@@ -98,17 +99,10 @@ def array_pattern(spec: ArraySpec) -> Callable:
     arrays: element factor about the common axis times |sum of excitations
     with spatial phase|.
     """
-    pos, exc, ax = spec.positions, spec.excitations, spec.axis
+    pos, exc = spec.positions, spec.excitations
 
     def pattern(theta, phi):
-        th = np.asarray(theta, dtype=float)
-        ph = np.asarray(phi, dtype=float)
-        st, ct = np.sin(th), np.cos(th)
-        rx = st * np.cos(ph)
-        ry = st * np.sin(ph)
-        rz = ct
-        cos_psi = rx * ax[0] + ry * ax[1] + rz * ax[2]
-        elem = _element_factor(ELEMENT_LENGTH, cos_psi)
+        rx, ry, rz, elem = _direction(spec.axis, theta, phi)
         af = np.zeros(np.broadcast(rx, rz).shape, dtype=complex)
         for n in range(len(pos)):
             phase = TWO_PI * (rx * pos[n, 0] + ry * pos[n, 1] + rz * pos[n, 2])
@@ -117,6 +111,42 @@ def array_pattern(spec: ArraySpec) -> Callable:
         return float(out) if np.ndim(out) == 0 else out
 
     return pattern
+
+
+def array_pattern_rows(spec: ArraySpec, excitations, theta, phi) -> np.ndarray:
+    """array_pattern for a batch of excitations, bit for bit: entry i is
+    array_pattern(replace(spec, excitations=excitations[i]))(theta[i], phi)
+    for excitations of shape (m, n) and theta of shape (m,).
+
+    The complex sum runs in real arithmetic, re += a*c - b*d and
+    im += a*d + b*c, and |F| is np.abs(re + 1j*im): these give the
+    one-point call's bits, where numpy's complex array multiply and
+    np.hypot do not.
+    """
+    pos = spec.positions
+    exc = np.asarray(excitations, dtype=complex)
+    rx, ry, rz, elem = _direction(spec.axis, theta, phi)
+    re = np.zeros(np.broadcast(rx, rz).shape)
+    im = np.zeros_like(re)
+    for n in range(len(pos)):
+        phase = TWO_PI * (rx * pos[n, 0] + ry * pos[n, 1] + rz * pos[n, 2])
+        e = np.exp(1j * phase)
+        a, b, c, d = exc[:, n].real, exc[:, n].imag, e.real, e.imag
+        re += a * c - b * d
+        im += a * d + b * c
+    return np.abs(re + 1j * im) * elem
+
+
+def _direction(axis, theta, phi):
+    """The unit vector toward (theta, phi) and the element factor there."""
+    th = np.asarray(theta, dtype=float)
+    ph = np.asarray(phi, dtype=float)
+    st, ct = np.sin(th), np.cos(th)
+    rx = st * np.cos(ph)
+    ry = st * np.sin(ph)
+    rz = ct
+    cos_psi = rx * axis[0] + ry * axis[1] + rz * axis[2]
+    return rx, ry, rz, _element_factor(ELEMENT_LENGTH, cos_psi)
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,11 @@ def _make_pbm3(obj_id) -> Objective:
             antenna.ring_excitations(beta), n_theta, n_phi)
 
     def steering(rows):
-        # one scalar pattern call per row, at theta = x[1], phi = 0
-        amp = np.empty(len(rows))
-        for i, x in enumerate(rows):
-            spec = replace(ring, excitations=antenna.ring_excitations(float(x[0])))
-            amp[i] = antenna.array_pattern(spec)(x[1], np.float64(0.0))
-        return amp
+        # one array pass at theta = x[1], phi = 0; the excitations stay one
+        # scalar ring_excitations call per row
+        excitations = np.array([antenna.ring_excitations(float(b)) for b in rows[:, 0]],
+                               dtype=complex).reshape(len(rows), antenna.RING_ELEMENTS)
+        return antenna.array_pattern_rows(ring, excitations, rows[:, 1], np.float64(0.0))
 
     return _antenna_factory(power, steering, [(0.0, 4.0), (0.0, math.pi)])(obj_id)
 

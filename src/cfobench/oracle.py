@@ -4,10 +4,18 @@ The oracle is deliberately dumb: evaluate every point of a uniform inclusive
 grid, keep the best, break ties toward the lexicographically smallest grid
 index. A local refinement pass (refine) zooms the grid around a point so
 benchmark comparisons are not limited by the global grid pitch.
+
+The grid is evaluated in C order, one evaluate_batch call per chunk of at
+most _CHUNK points, so memory does not grow with the grid. A chunk is laid
+out by broadcasting, not by flat-index arithmetic: the grid splits after the
+first axis whose trailing block of points fits in a chunk, that block is
+built once, and each chunk is a run of consecutive prefixes of the leading
+axes times the whole block, written into one buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -17,7 +25,7 @@ from .objectives import batch_form
 from .space import DecisionSpace
 
 MAX_GRID_POINTS = 100_000_000
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,21 +86,35 @@ def grid_oracle(objective, bounds=None, resolution=101) -> OracleResult:
     shape = tuple(len(ax) for ax in axes)
     total = int(np.prod(shape))
 
-    batch = batch_form(objective)
+    n_d = len(shape)
+    # split after the first axis j whose trailing block fits in a chunk; a
+    # chunk is k consecutive prefixes (i_0..i_j) times the whole block
+    j = next(j for j in range(n_d) if math.prod(shape[j + 1:]) <= _CHUNK)
+    block = math.prod(shape[j + 1:])
+    n_prefixes = math.prod(shape[:j + 1])
+    k = min(_CHUNK // block, n_prefixes)
+    trailing = np.empty((block, n_d - j - 1))
+    for c, g in enumerate(np.meshgrid(*axes[j + 1:], indexing="ij")):
+        trailing[:, c] = g.ravel()
+    buf = np.empty((k, block, n_d))
 
+    batch = batch_form(objective)
     best_value = -np.inf
     best_point: Optional[np.ndarray] = None
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        multi = np.unravel_index(np.arange(start, stop), shape)
-        points = np.column_stack([axes[d][multi[d]] for d in range(len(axes))])
+    for start in range(0, n_prefixes, k):
+        m = min(k, n_prefixes - start)
+        prefix = np.unravel_index(np.arange(start, start + m), shape[:j + 1])
+        for d in range(j + 1):
+            buf[:m, :, d] = axes[d][prefix[d]][:, None]
+        buf[:m, :, j + 1:] = trailing
+        points = buf[:m].reshape(m * block, n_d)
         values = np.asarray(batch(points), dtype=float)
         values = np.where(np.isfinite(values), values, -np.inf)
-        k = int(np.argmax(values))
+        i = int(np.argmax(values))
         # strict > keeps the earliest (lexicographically smallest) index
-        if values[k] > best_value:
-            best_value = float(values[k])
-            best_point = points[k].copy()
+        if values[i] > best_value:
+            best_value = float(values[i])
+            best_point = points[i].copy()
 
     if best_point is None:
         raise ValueError("grid oracle: the objective returned no finite value")

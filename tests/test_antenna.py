@@ -347,3 +347,17 @@ def test_pbm3_rows_reuse_the_ring(monkeypatch):
     obj = get_objective("pbm3")
     monkeypatch.setattr(antenna, "circular_array_spec", None)
     assert obj.evaluate_batch(np.array([[0.5, 1.0], [1.5, 2.0]])).shape == (2,)
+
+
+def test_ring_steering_batch_is_the_scalar_pattern_bit_for_bit():
+    # the batch form pbm3 steers with, against one array_pattern call per
+    # row; the beta and theta grid endpoints are rows too
+    rng = np.random.default_rng(20)
+    rows = np.column_stack([rng.random(2000) * 4.0, rng.random(2000) * math.pi])
+    ends = np.array([[beta, theta] for beta in (0.0, 4.0, 1.25) for theta in (0.0, math.pi, 1.0)])
+    rows = np.vstack([rows, ends])
+    ring = circular_array_spec(0.0)
+    excitations = np.array([antenna.ring_excitations(beta) for beta in rows[:, 0]])
+    got = antenna.array_pattern_rows(ring, excitations, rows[:, 1], 0.0)
+    want = [array_pattern(circular_array_spec(beta))(theta, 0.0) for beta, theta in rows]
+    assert np.array_equal(got, want)

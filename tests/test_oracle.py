@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfobench import get_objective
+from cfobench import get_objective, oracle
 from cfobench.oracle import OracleResult, grid_oracle, refine
 from cfobench.space import DecisionSpace
 
@@ -90,6 +91,57 @@ def test_scalar_objectives_are_evaluated_in_grid_order():
 
     grid_oracle(record, bounds=[(0.0, 1.0), (0.0, 2.0)], resolution=(2, 3))
     assert calls == [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 64])
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 3, 5), (2, 3, 2, 2)])
+def test_chunks_visit_the_grid_in_c_order(monkeypatch, shape, chunk):
+    # the chunk splits the grid after axis 0, 1 or 2, or holds all of it;
+    # each coordinate is its grid index, so the calls spell the index order
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    calls = []
+
+    def record(x):
+        calls.append(tuple(x))
+        return 0.0
+
+    grid_oracle(record, bounds=[(0.0, n - 1.0) for n in shape], resolution=shape)
+    want = np.column_stack(np.unravel_index(np.arange(math.prod(shape)), shape))
+    assert calls == [tuple(map(float, p)) for p in want]
+
+
+@pytest.mark.parametrize("chunk", [4, 7])
+def test_plateau_across_chunks_ties_to_its_first_grid_point(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    bounds = [(0.0, 4.0), (0.0, 2.0), (0.0, 1.0)]
+    res = grid_oracle(lambda x: 1.0, bounds=bounds, resolution=(5, 3, 2))
+    assert np.array_equal(res.argmax, [0.0, 0.0, 0.0])
+    # a plateau that starts inside a later chunk
+    res = grid_oracle(lambda x: float(x[0] + x[1] >= 3.0), bounds=bounds, resolution=(5, 3, 2))
+    assert np.array_equal(res.argmax, [1.0, 2.0, 0.0])
+    assert res.value == 1.0
+
+
+def test_noisy_oracle_does_not_depend_on_the_chunk(monkeypatch):
+    # the noise stream runs in grid order across chunk boundaries
+    def noisy():
+        res = grid_oracle(get_objective("sgo", noise={"seed": 3}), resolution=(41, 37))
+        return res.argmax.tolist(), res.value.hex()
+
+    want = noisy()
+    for chunk in (7, 64):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert noisy() == want
+
+
+def test_large_grid_memory_is_bounded_by_the_chunk():
+    tracemalloc.start()
+    try:
+        grid_oracle(get_objective("gp"), resolution=(1001, 1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_refine_respects_bounds_and_validates():

@@ -12,8 +12,10 @@ and n_sat all away from their defaults, a run whose first two probes
 coincide throughout, a --seed override sweep, a noisy
 `pbm1` run, 10- and 3-element `pbm5` runs, a 2-element `pbm5` oracle over
 401 spacings (each a distinct geometry, so each a power miss), a `pbm3`
-oracle finer than the benchmark's, a 3-run `pbm3` gamma sweep (each run
-builds its own ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
+oracle finer than the benchmark's, a 3x300x300 oracle (its 90,000-point
+trailing block exceeds a grid chunk, so the grid splits after axis 1), a
+noisy 301x301 oracle (its noise stream crosses a chunk boundary), a 3-run
+`pbm3` gamma sweep (each run builds its own ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
 threads (each run builds its own objective and power memo), a 3-run
 `external` gamma sweep whose command is one shell-quoted string (each run
 splits it and starts its own child), and the history outputs the benchmark
@@ -86,6 +88,8 @@ EXTRA_ORACLES = {  # name: (objective, resolution)
     "pbm5_2": ({"id": "pbm5", "options": {"n_elements": 2}}, [401]),
     "external": (EXTERNAL, [5, 5, 5]),
     "pbm3_fine": ("pbm3", [81, 41]),
+    "neg_sum_squares_3d": ("neg_sum_squares", [3, 300, 300]),
+    "sgo_noisy_301": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [301, 301]),
 }
 
 
