@@ -554,6 +554,9 @@ def criterion_10() -> Verdict:
         th, ph, sin_th = antenna.sphere_mesh(n_theta, n_phi)
         f = np.broadcast_to(np.asarray(pattern(th, ph), dtype=float), (n_theta, n_phi))
         d_mesh = 4.0 * math.pi * f * f / power
+        # the ratio divides the mesh's sum of f^2 sin(theta) by the same sum
+        # (power), so it is 1 up to rounding and can fail only through it;
+        # the doubling drift is the convergence check
         ratio = float(
             np.sum(d_mesh * sin_th)
             * (math.pi / n_theta)

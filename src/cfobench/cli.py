@@ -302,10 +302,6 @@ def _write_lines(path: Path, lines: List[str]):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_series(path: Path, series, fmt="%.17g"):
-    _write_lines(path, [("%d " + fmt) % (j, v) for j, v in enumerate(series)])
-
-
 def _writes_history(emit: Dict[str, bool], n_dims: int) -> bool:
     """Do the outputs print per-step positions (snapshots are 2-D only)?"""
     return emit["trajectories"] or (emit["probe_snapshots"] and n_dims == 2)
@@ -314,32 +310,29 @@ def _writes_history(emit: Dict[str, bool], n_dims: int) -> bool:
 def write_run_files(record: RunRecord, out_dir: Path, emit: Dict[str, bool],
                     n_dims: int):
     out_dir.mkdir(parents=True, exist_ok=True)
-    if emit.get("fitness"):
-        _write_series(out_dir / "fitness.txt", record.step_best_fitness)
-    if emit.get("davg"):
-        _write_series(out_dir / "davg.txt", record.d_avg)
-    if emit.get("best_probe"):
-        _write_series(out_dir / "best_probe.txt", record.best_probe, fmt="%d")
-    if emit.get("probe_snapshots") and n_dims == 2:
-        snap_dir = out_dir / "probes"
-        snap_dir.mkdir(exist_ok=True)
-        for j in range(record.positions_history.shape[0]):
-            rows = [
-                " ".join("%.17g" % v for v in point)
-                for point in record.positions_history[j]
-            ]
-            _write_lines(snap_dir / ("step_%04d.txt" % j), rows)
-    if emit.get("trajectories"):
-        traj_dir = out_dir / "trajectories"
-        traj_dir.mkdir(exist_ok=True)
-        n_probes = record.positions_history.shape[1]
-        for p in range(n_probes):
-            rows = [
-                ("%d " % j)
-                + " ".join("%.17g" % v for v in record.positions_history[j, p])
-                for j in range(record.positions_history.shape[0])
-            ]
-            _write_lines(traj_dir / ("probe_%02d.txt" % (p + 1)), rows)
+    for flag, series, fmt in (("fitness", record.step_best_fitness, "%d %.17g"),
+                              ("davg", record.d_avg, "%d %.17g"),
+                              ("best_probe", record.best_probe, "%d %d")):
+        if emit.get(flag):
+            _write_lines(out_dir / (flag + ".txt"), [fmt % (j, v) for j, v in enumerate(series)])
+    snapshots = emit.get("probe_snapshots") and n_dims == 2
+    if snapshots or emit.get("trajectories"):
+        # every position is formatted once: rows[j][p] is probe p at step j
+        # (one step's floats converted at a time, so fewer are alive at once)
+        history = record.positions_history
+        row = " ".join(["%.17g"] * history.shape[2])
+        rows = [[row % tuple(point) for point in step.tolist()] for step in history]
+        if snapshots:
+            snap_dir = out_dir / "probes"
+            snap_dir.mkdir(exist_ok=True)
+            for j, step in enumerate(rows):
+                _write_lines(snap_dir / ("step_%04d.txt" % j), step)
+        if emit.get("trajectories"):
+            traj_dir = out_dir / "trajectories"
+            traj_dir.mkdir(exist_ok=True)
+            for p in range(history.shape[1]):
+                _write_lines(traj_dir / ("probe_%02d.txt" % (p + 1)),
+                             [("%d " % j) + step[p] for j, step in enumerate(rows)])
     (out_dir / "record.json").write_text(record.to_json() + "\n", encoding="utf-8")
 
 
@@ -451,14 +444,21 @@ def _result_line(name: str, record: RunRecord) -> str:
     )
 
 
-def run_benchmark(spec: RunSpec, quiet: bool = False) -> RunRecord:
-    """Execute a single configured run and write its output files."""
+def _run_and_write(spec: RunSpec, cfg: CfoConfig, objective: Objective,
+                   out_dir: Path) -> RunRecord:
+    """Run cfg on objective, close the objective, and write the run's files."""
     try:
-        record = run(spec.cfo, spec.space, spec.objective,
+        record = run(cfg, spec.space, objective,
                      keep_history=_writes_history(spec.emit, spec.space.n_dims))
     finally:
-        _close(spec.objective)
-    write_run_files(record, spec.out_dir, spec.emit, spec.space.n_dims)
+        _close(objective)
+    write_run_files(record, out_dir, spec.emit, spec.space.n_dims)
+    return record
+
+
+def run_benchmark(spec: RunSpec, quiet: bool = False) -> RunRecord:
+    """Execute a single configured run and write its output files."""
+    record = _run_and_write(spec, spec.cfo, spec.objective, spec.out_dir)
     if spec.emit.get("summary"):
         rows = _summary_rows([record], [None])
         write_summary(spec.out_dir, rows, [record], "Param")
@@ -508,15 +508,8 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
         value = values[index]
         objective = _fresh_objective(spec.objective_id, spec.objective_options,
                                      noise_seed=value if parameter == "seed" else None)
-        try:
-            record = run(cfgs[index], spec.space, objective,
-                         keep_history=_writes_history(spec.emit, spec.space.n_dims))
-        finally:
-            _close(objective)
-        run_dir = spec.out_dir / ("run_%0*d" % (pad, index + 1))
-        per_run_emit = dict(spec.emit, summary=False)
-        write_run_files(record, run_dir, per_run_emit, spec.space.n_dims)
-        return record
+        return _run_and_write(spec, cfgs[index], objective,
+                              spec.out_dir / ("run_%0*d" % (pad, index + 1)))
 
     if jobs <= 1:
         records = [one_run(i) for i in range(len(values))]

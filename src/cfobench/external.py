@@ -72,6 +72,7 @@ class ExternalObjective:
         self.timeout = float(timeout)
         self.n_evaluations = 0
         self._closed = False
+        self._timed_out = False  # a child that missed a reply is stuck in it
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -125,6 +126,7 @@ class ExternalObjective:
         try:
             item = self._replies.get(timeout=timeout)
         except queue.Empty:
+            self._timed_out = True
             raise EvaluationTimeout(
                 f"no reply within {timeout:g} s; {self._diagnostics()}"
             ) from None
@@ -195,7 +197,11 @@ class ExternalObjective:
         raise ProtocolError(f"unrecognized reply {reply!r}")
 
     def close(self):
-        """Shut the child down; safe to call more than once."""
+        """Shut the child down; safe to call more than once.
+
+        The child gets a second to exit after its stdin closes, unless it has
+        already missed a reply: then it is terminated at once.
+        """
         if self._closed:
             return
         self._closed = True
@@ -206,7 +212,7 @@ class ExternalObjective:
         except OSError:
             pass
         try:
-            proc.wait(timeout=1.0)
+            proc.wait(timeout=0.0 if self._timed_out else 1.0)
         except subprocess.TimeoutExpired:
             proc.terminate()
             try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ def test_sleepy_evaluator_times_out():
     with ExternalObjective(SERVE + ["sleepy"], timeout=0.5) as client:
         with pytest.raises(EvaluationTimeout, match="no reply within"):
             client.evaluate([1.0])
+
+
+def test_close_after_a_timeout_stops_the_child_at_once(spawned):
+    client = ExternalObjective(SERVE + ["sleepy"], timeout=0.5)
+    with pytest.raises(EvaluationTimeout):
+        client.evaluate([1.0])
+    start = time.perf_counter()
+    client.close()
+    assert time.perf_counter() - start < 0.9
+    assert len(spawned) == 1 and spawned[0].poll() is not None
 
 
 def test_bad_handshake_is_rejected(spawned):

@@ -1,5 +1,6 @@
-"""Golden SHA-256 digests of record.json for nine short runs, and of
-summary.csv and summary.txt for one sweep and one single run.
+"""Golden SHA-256 digests of record.json for nine short runs, of
+summary.csv and summary.txt for one sweep and one single run, and of every
+text file one short 2-D run writes with all its per-step outputs on.
 
 Byte-identical records are guaranteed per platform and numpy build (see the
 README), so the digests are pinned to the build they were taken on and the
@@ -62,6 +63,28 @@ SUMMARIES = {  # name: (command, config blocks, summary.csv SHA-256, summary.txt
 }
 
 
+TEXT_RUN = {"objective": "gp", "cfo": {"n_probes": 6, "n_steps": 4, "gamma": 0.4},
+            "outputs": {"fitness": True, "davg": True, "best_probe": True,
+                        "probe_snapshots": True, "trajectories": True}}
+TEXT_DIGESTS = {  # path under the output directory: SHA-256
+    "best_probe.txt": "c33da0bab27570d8d0484368cadcff2caa437fd8de2cd6a19ac432383fa6117f",
+    "davg.txt": "935872384e5366fe0616ff914ee0bfd9e4761f35dd72ca4fc4db359b550534af",
+    "fitness.txt": "10f97727e4b2ea89c2179abda0fbb94cd558515bf780631d2595aaa5c4ffdbd8",
+    "probes/step_0000.txt": "9ce1c10a5097016bbbafd82109e49d6bb5d11dee44b12abeae881865601b2867",
+    "probes/step_0001.txt": "9ce1c10a5097016bbbafd82109e49d6bb5d11dee44b12abeae881865601b2867",
+    "probes/step_0002.txt": "ea1f84140af806dc9dc80008837f78cf3773b1d7f8129a27d02bf37f6da67925",
+    "probes/step_0003.txt": "5335b25380bb40946776a9429a020b71dc12b8f02e74a16c797b3af42912a363",
+    "probes/step_0004.txt": "efa5968f360d7a0957580c9eca4ec6aeba1e4eee3e33099e8cf2f17f433afcae",
+    "summary.txt": "e05f8503a7bfb17d9aced4695744bf8271d9310963e7b76d1c1190cb20b6e595",
+    "trajectories/probe_01.txt": "7b9c1a5b86a0309bf24b79a84e5e0026183aa3e14f1e500596e344586aed9d32",
+    "trajectories/probe_02.txt": "4c9560155c780925d3fb49d4ac0dcf1470695aa26cdb49a08fc026d2b5646844",
+    "trajectories/probe_03.txt": "1ed63ff0260d0746d04bd0e07e5d8affdc052913cc4e7735c14ca07bea1bd3f7",
+    "trajectories/probe_04.txt": "0cd179667eb8a51f372a82fc2d08ababaeb6c66b2df142c87dd260c4890fa490",
+    "trajectories/probe_05.txt": "845f3d647a407739e4212b955ef700c0accfc1f4555aa223792f8090cedf5600",
+    "trajectories/probe_06.txt": "958cb52b18a459d47f3df19dc9cefebaded4e789161e85cb1098c0eb755c59f7",
+}
+
+
 def _this_build() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine()}
@@ -95,3 +118,14 @@ def test_summary_digests(tmp_path, name):
     assert main([command, "--config", str(config), "--quiet"]) == 0
     assert [hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in ("summary.csv", "summary.txt")] == [csv_digest, txt_digest]
+
+
+def test_text_output_digests(tmp_path):
+    if _this_build() != BUILD:
+        pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TEXT_RUN, outputs=dict(TEXT_RUN["outputs"], dir=str(out)))))
+    assert main(["run", "--config", str(config), "--quiet"]) == 0
+    assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*.txt")} == TEXT_DIGESTS

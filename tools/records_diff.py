@@ -20,7 +20,8 @@ threads (each run builds its own objective and power memo), a 3-run
 `external` gamma sweep whose command is one shell-quoted string (each run
 splits it and starts its own child), and the history outputs the benchmark
 leaves out (probe snapshots alone in 2-D and in 3-D, where none are
-written, and a sweep with trajectories). `diff` compares the two output
+written, snapshots and trajectories together in one 2-D in-process run, and
+a sweep with trajectories). `diff` compares the two output
 trees file by file (the configs name their own directory, so the first
 tree's path is replaced by the second's) and exits 1 when any file differs.
 `run` refuses an output directory that exists and is not empty, with exit
@@ -70,6 +71,9 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
     "gp_snapshots": ("gp", {"cfo": {"n_probes": 8, "n_steps": 50}, "outputs": {"probe_snapshots": True}}),
     "step3_snapshots": ({"id": "step", "options": {"n_dims": 3}}, {"cfo": {"n_probes": 9, "n_steps": 50},
                                                                   "outputs": {"probe_snapshots": True}}),
+    "himmelblau_snapshots_trajectories": ("himmelblau", {"cfo": {"n_probes": 8, "n_steps": 60},
+                                                         "outputs": {"probe_snapshots": True,
+                                                                     "trajectories": True}}),
     "sgo_sweep_trajectories": ("sgo", {"cfo": {"n_probes": 6, "n_steps": 40}, "outputs": {"trajectories": True},
                                        "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
     "pbm3_sweep": ("pbm3", {"cfo": {"n_probes": 6, "n_steps": 20}, "outputs": {},
