@@ -40,7 +40,6 @@ _EXPORTS = {  # name: submodule that defines it
     "refine": "oracle",
     "NoiseState": "rng",
     "SplitMix64": "rng",
-    "gaussian_batch": "rng",
     "gaussian_deviate": "rng",
     "DecisionSpace": "space",
 }

@@ -45,7 +45,7 @@ from .engine import (
 )
 from .objectives import get_objective
 from .oracle import OracleResult, grid_oracle, refine
-from .rng import NoiseState, SplitMix64, gaussian_batch
+from .rng import NoiseState, SplitMix64, gaussian_deviate
 from .space import DecisionSpace
 
 # -- benchmark reference targets --------------------------------------------
@@ -517,7 +517,7 @@ def criterion_8() -> Verdict:
 def criterion_9() -> Verdict:
     state = NoiseState.seeded(1234, sigma=0.4472)
     t0 = time.perf_counter()
-    draws = gaussian_batch(state, 1_000_000)
+    draws = gaussian_deviate(state, 1_000_000)
     elapsed = time.perf_counter() - t0
     mean = float(np.mean(draws))
     var = float(np.var(draws))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import inspect
 import math
 import shlex
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -337,9 +338,9 @@ def get_objective(obj_id: str, /, **options) -> Objective:
 
     obj_id is looked up exactly as list_objectives() spells it. noise =
     {"seed": int, "sigma": float, "mu": float}, with NoiseState's sigma and
-    mu as the defaults; any noise that is not None is a request and must
-    have that form. An option the id's factory does not take is an
-    ObjectiveError.
+    mu as the defaults, sigma finite and >= 0 and mu finite; any noise that
+    is not None is a request and must have that form. An option the id's
+    factory does not take is an ObjectiveError.
     """
     factory = REGISTRY.get(obj_id)
     if factory is None:
@@ -362,6 +363,11 @@ def get_objective(obj_id: str, /, **options) -> Objective:
         for name in ("sigma", "mu"):
             if isinstance(noise[name], bool) or not isinstance(noise[name], (int, float)):
                 raise ObjectiveError(f"{obj_id}: noise.{name} must be a number")
+        # comparisons, not math.isfinite, which overflows on a huge int
+        if not 0.0 <= noise["sigma"] <= sys.float_info.max:
+            raise ObjectiveError(f"{obj_id}: noise.sigma must be a finite number >= 0")
+        if not abs(noise["mu"]) <= sys.float_info.max:
+            raise ObjectiveError(f"{obj_id}: noise.mu must be a finite number")
     obj = factory(obj_id, **options)
     if noise_opt is not None:
         obj = with_noise(obj, sigma=float(noise["sigma"]), seed=noise["seed"],
@@ -373,13 +379,14 @@ def with_noise(obj: Objective, sigma: float, seed: int, mu: float = NoiseState.m
     """Additive Gaussian noise on the returned fitness, from a seeded stream.
 
     The noisy objective is stateful: a batch evaluates the base rows, then
-    draws one deviate per row in row order, so n rows in one batch consume
-    the stream exactly as n batches of one row do.
+    draws their deviates, one per row in row order, in one call, so n rows
+    in one batch consume the stream exactly as n batches of one row do.
     """
     state = NoiseState.seeded(seed, mu=mu, sigma=sigma)
     base_batch = obj.evaluate_batch
 
     def evaluate_batch(rows, step=0):
-        return np.array([v + gaussian_deviate(state) for v in base_batch(rows, step=step)])
+        values = base_batch(rows, step=step)
+        return values + gaussian_deviate(state, len(values))
 
     return replace(obj, evaluate_batch=evaluate_batch, evaluate=None, noise=state)

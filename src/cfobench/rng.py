@@ -1,4 +1,4 @@
-"""Seedable uniform stream and the Box-Muller normal deviate built on it.
+"""Seedable uniform stream and the one Gaussian sampler built on it.
 
 The uniform generator is SplitMix64: state advances by the 64-bit golden
 ratio constant and each output is a finalizer hash of the new state. It is
@@ -6,6 +6,13 @@ tiny, fast, passes BigCrush, and the whole stream is reproducible from one
 64-bit seed, which is what the run-record determinism guarantee rests on.
 Reference vector (seed 1234567): 6457827717110365317, 3203168211198807973,
 9817491932198370423.
+
+gaussian_deviate(state, n) is the Box-Muller cosine branch. Deviate k is
+mu + sigma * sqrt(-2 ln s) * cos(2 pi t) for the k-th pair (s, t) of
+successive uniforms with s > 0, so an n-row batch consumes the stream
+exactly as n one-row calls do and leaves it in the same place. The stream
+is integer arithmetic and the same everywhere; the deviates' bits depend on
+libm's log and cos, so like the rest of a record they are fixed per build.
 """
 
 from __future__ import annotations
@@ -59,16 +66,6 @@ class SplitMix64:
         return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def box_muller(mu: float, sigma: float, s: float, t: float) -> float:
-    """One normal deviate from two uniforms, cosine branch.
-
-    z = mu + sigma * sqrt(-2 ln s) * cos(2 pi t), with s in (0, 1].
-    """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
-    return mu + sigma * math.sqrt(-2.0 * math.log(s)) * math.cos(2.0 * math.pi * t)
-
-
 @dataclass
 class NoiseState:
     """Gaussian noise source: mean, standard deviation, and its own stream.
@@ -87,38 +84,17 @@ class NoiseState:
         return cls(mu=mu, sigma=sigma, rng=SplitMix64(seed))
 
 
-def gaussian_deviate(state: NoiseState) -> float:
-    """Draw one deviate, advancing the stream by two uniforms.
+def gaussian_deviate(state: NoiseState, n: int) -> np.ndarray:
+    """n normal deviates from state's stream, as a float array.
 
-    A zero first uniform would send log() to -inf, so the pair is redrawn in
-    that (probability 2^-53) case.
+    A pair with s == 0.0 (probability 2^-53) would send log() to -inf, so it
+    is dropped and the missing deviates are drawn from the pairs after it.
+    Each deviate is computed on Python floats with libm's log and cos.
     """
-    while True:
-        s = state.rng.next_float()
-        t = state.rng.next_float()
-        if s > 0.0:
-            return box_muller(state.mu, state.sigma, s, t)
-
-
-def gaussian_batch(state: NoiseState, n: int) -> np.ndarray:
-    """n deviates consuming the same uniforms as n gaussian_deviate() calls.
-
-    The stream position afterwards is identical to the scalar path, and the
-    values agree to the last bit or two (numpy's vectorized log/cos may land
-    one ulp away from libm's). Per-evaluation noise inside runs always goes
-    through gaussian_deviate, so run records never depend on the difference;
-    this entry point is for bulk statistics.
-
-    Falls back to the scalar path if the batch happens to contain a zero
-    uniform in an s position, preserving the redraw semantics.
-    """
-    if n <= 0:
-        return np.empty(0)
-    start_state = state.rng.state
-    u = state.rng.uniform_batch(2 * n)
-    s = u[0::2]
-    t = u[1::2]
-    if np.any(s == 0.0):
-        state.rng.state = start_state
-        return np.array([gaussian_deviate(state) for _ in range(n)])
-    return state.mu + state.sigma * np.sqrt(-2.0 * np.log(s)) * np.cos(2.0 * np.pi * t)
+    mu, sigma = state.mu, state.sigma
+    out = []
+    while len(out) < n:
+        u = state.rng.uniform_batch(2 * (n - len(out))).tolist()
+        out += [mu + sigma * math.sqrt(-2.0 * math.log(s)) * math.cos(2.0 * math.pi * t)
+                for s, t in zip(u[0::2], u[1::2]) if s > 0.0]
+    return np.array(out, dtype=float)

@@ -538,6 +538,9 @@ def test_unknown_objective_options_exit_2(tmp_path, capsys, obj_id):
     ({"id": "external", "options": dict(QUADRATIC, timeout="5")}, [], BAD_TIMEOUT),
     ({"id": "external", "options": dict(QUADRATIC, command=f'{sys.executable} -m "cfobench.external quadratic')},
      [], "config error: external: command: No closing quotation"),
+    ({"id": "sgo", "options": {"noise": {"seed": 1, "sigma": -1.0}}}, [],
+     "config error: sgo: noise.sigma must be a finite number >= 0"),
+    ({"id": "gp", "options": {"noise": {"sigma": -1}}}, ["--seed", "4"], "gp: noise.sigma must be a finite number >= 0"),
 ])
 def test_bad_objective_options_exit_2(tmp_path, capsys, spawned, objective, argv, message):
     doc = dict(BASE_RUN, objective=objective)

@@ -160,7 +160,7 @@ def test_noise_is_additive_and_seeded():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-5.0, 5.0, size=(20, 2))
     for p in pts:
-        expected = clean.evaluate(p) + gaussian_deviate(stream)
+        expected = clean.evaluate(p) + gaussian_deviate(stream, 1)[0]
         assert noisy.evaluate(p) == expected
 
     # same seed, same stream; different seed, different draws
@@ -177,6 +177,25 @@ def test_noise_mu_and_sigma_options():
                            noise={"seed": 3, "sigma": 1e-12, "mu": 10.0})
     assert biased.evaluate([0.0, 0.0]) == pytest.approx(
         base.evaluate([0.0, 0.0]) + 10.0, abs=1e-9)
+    # sigma 0 is the lowest accepted: the noise is mu alone
+    exact = get_objective("neg_sum_squares", n_dims=2, noise={"seed": 3, "sigma": 0, "mu": 10.0})
+    assert exact.evaluate([1.0, 2.0]) == base.evaluate([1.0, 2.0]) + 10.0
+
+
+@pytest.mark.parametrize("noise,message", [
+    ({"seed": 1, "sigma": -1.0}, "sgo: noise.sigma must be a finite number >= 0"),
+    ({"seed": 1, "sigma": -1}, "sgo: noise.sigma must be a finite number >= 0"),
+    ({"seed": 1, "sigma": math.nan}, "sgo: noise.sigma must be a finite number >= 0"),
+    ({"seed": 1, "sigma": math.inf}, "sgo: noise.sigma must be a finite number >= 0"),
+    ({"seed": 1, "sigma": 10 ** 400}, "sgo: noise.sigma must be a finite number >= 0"),
+    ({"seed": 1, "mu": math.nan}, "sgo: noise.mu must be a finite number"),
+    ({"seed": 1, "mu": -math.inf}, "sgo: noise.mu must be a finite number"),
+    ({"seed": 1, "mu": -10 ** 400}, "sgo: noise.mu must be a finite number"),
+])
+def test_out_of_range_noise_is_rejected(noise, message):
+    with pytest.raises(ObjectiveError) as info:
+        get_objective("sgo", noise=noise)
+    assert str(info.value) == message
 
 
 def test_antenna_objectives_match_the_pattern_layer():

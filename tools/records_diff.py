@@ -16,7 +16,8 @@ oracle finer than the benchmark's, a 3x300x300 oracle (its 90,000-point
 trailing block exceeds a grid chunk, so the grid splits after axis 1), a
 noisy 301x301 oracle (its noise stream crosses a chunk boundary), a 3-run
 `pbm3` gamma sweep (each run builds its own ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
-threads (each run builds its own objective and power memo), a 3-run
+threads (each run builds its own objective and power memo), a 4-run noisy
+`sgo` seed sweep on 2 threads (each run owns its noise stream), a 3-run
 `external` gamma sweep whose command is one shell-quoted string (each run
 splits it and starts its own child), and the history outputs the benchmark
 leaves out (probe snapshots alone in 2-D and in 3-D, where none are
@@ -81,6 +82,10 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
     "pbm2_sweep_jobs2": ("pbm2", {"cfo": {"n_probes": 8, "n_steps": 20}, "outputs": {},
                                   "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 6},
                                   "jobs": 2}),
+    "sgo_noisy_seed_sweep_jobs2": ({"id": "sgo", "options": {"noise": {"seed": 1}}},
+                                   {"cfo": {"n_probes": 8, "n_steps": 60}, "outputs": {},
+                                    "sweep": {"parameter": "seed", "start": 1, "stop": 4, "count": 4},
+                                    "jobs": 2}),
     "external_string_sweep": (dict(EXTERNAL, options=dict(EXTERNAL["options"],
                                                           command=shlex.join(EXTERNAL["options"]["command"]))),
                               {"cfo": {"n_probes": 6, "n_steps": 30}, "outputs": {"trajectories": True},
