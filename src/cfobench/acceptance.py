@@ -22,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -599,6 +600,8 @@ def _package_first_on_pythonpath():
 
 @_package_first_on_pythonpath()
 def criterion_12() -> Verdict:
+    """Five checks, run side by side on threads: each has its own child or CLI
+    process, and most of their time is spent waiting on a timeout."""
     from .external import (
         EvaluationTimeout,
         ExternalObjective,
@@ -606,51 +609,60 @@ def criterion_12() -> Verdict:
     )
 
     server = [sys.executable, "-m", "cfobench.external"]
-    builtin = get_objective("neg_sum_squares", n_dims=3)
-    rng = SplitMix64(4242)
-    worst = 0.0
-    with ExternalObjective(server + ["quadratic"], timeout=30.0) as client:
-        for _ in range(100):
-            x = [rng.next_float() * 10.0 - 5.0 for _ in range(3)]
-            worst = max(worst, _rel_err(client.evaluate(x), builtin.evaluate(x)))
-    paired_ok = worst <= 1e-12
+
+    def paired_error() -> float:
+        builtin = get_objective("neg_sum_squares", n_dims=3)
+        rng = SplitMix64(4242)
+        worst = 0.0
+        with ExternalObjective(server + ["quadratic"], timeout=30.0) as client:
+            for _ in range(100):
+                x = [rng.next_float() * 10.0 - 5.0 for _ in range(3)]
+                worst = max(worst, _rel_err(client.evaluate([x])[0], builtin.evaluate(x)))
+        return worst
 
     def raises(name, timeout, x, error) -> bool:
         with ExternalObjective(server + [name], timeout=timeout) as client:
             try:
-                client.evaluate(x)
+                client.evaluate([x])
             except error:
                 return True
         return False
 
-    malformed_ok = raises("malformed", 30.0, [0.5, 0.5], ProtocolError)
-    timeout_ok = raises("sleepy", 2.0, [0.0], EvaluationTimeout)
-
     # the CLI must report both failure modes with the objective exit code and
     # their own message, which a child that could not start would not give
-    exit_codes, messages_ok = [], True
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, extra, message in (("sleepy", {"timeout": 1.0}, "no reply within"),
-                                     ("malformed", {}, "unrecognized reply")):
-            options = {
-                "command": server + [name],
-                "bounds": [[-1.0, 1.0], [-1.0, 1.0]],
-                **extra,
-            }
-            doc = {
-                "objective": {"id": "external", "options": options},
-                "cfo": {"n_probes": 4, "n_steps": 2},
-                "outputs": {"dir": str(Path(tmp) / name)},
-            }
-            config_path = _write_config(Path(tmp) / f"{name}.json", doc)
-            proc = subprocess.run(
-                [sys.executable, "-m", "cfobench.cli", "run", "--config",
-                 config_path, "--quiet"],
-                capture_output=True,
-                timeout=120,
-            )
-            exit_codes.append(proc.returncode)
-            messages_ok = messages_ok and message in proc.stderr.decode()
+    def cli_run(tmp, name, extra, message) -> Tuple[int, bool]:
+        options = {
+            "command": server + [name],
+            "bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+            **extra,
+        }
+        doc = {
+            "objective": {"id": "external", "options": options},
+            "cfo": {"n_probes": 4, "n_steps": 2},
+            "outputs": {"dir": str(Path(tmp) / name)},
+        }
+        config_path = _write_config(Path(tmp) / f"{name}.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfobench.cli", "run", "--config",
+             config_path, "--quiet"],
+            capture_output=True,
+            timeout=120,
+        )
+        return proc.returncode, message in proc.stderr.decode()
+
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(max_workers=5) as pool:
+        paired = pool.submit(paired_error)
+        malformed = pool.submit(raises, "malformed", 30.0, [0.5, 0.5], ProtocolError)
+        sleepy = pool.submit(raises, "sleepy", 2.0, [0.0], EvaluationTimeout)
+        cli_runs = [pool.submit(cli_run, tmp, name, extra, message)
+                    for name, extra, message in (("sleepy", {"timeout": 1.0}, "no reply within"),
+                                                 ("malformed", {}, "unrecognized reply"))]
+        worst = paired.result()
+        malformed_ok = malformed.result()
+        timeout_ok = sleepy.result()
+        exit_codes = [run.result()[0] for run in cli_runs]
+        messages_ok = all(run.result()[1] for run in cli_runs)
+    paired_ok = worst <= 1e-12
     cli_ok = exit_codes == [3, 3] and messages_ok
 
     passed = paired_ok and malformed_ok and timeout_ok and cli_ok

@@ -7,6 +7,13 @@ The wire protocol is line-oriented text over the child's standard streams:
     with coordinates formatted to 17 significant digits
   - each reply is ``FITNESS <value>`` or ``ERROR <message>``
 
+Replies come in request order, one per request. The client pipelines a
+batch: it writes every request of the batch (one engine step, or one grid
+chunk) before it reads the first reply, so a child may find a whole batch
+waiting on its stdin, and after an ``ERROR`` reply the batch's later
+requests have already been sent. The client still reads their replies, so
+it stays in step with the child.
+
 Determinism of a run driven through this bridge is the child's business:
 the harness replays requests identically, so a deterministic evaluator
 yields a deterministic run.
@@ -19,7 +26,11 @@ so the failure paths can be exercised in tests.
 from __future__ import annotations
 
 import argparse
-import queue
+import codecs
+import io
+import locale
+import os
+import select
 import subprocess
 import sys
 import threading
@@ -33,6 +44,7 @@ HANDSHAKE = "CFO-OBJ " + PROTOCOL_VERSION
 RUN_ID = "run0"  # the <run_id> field of every request
 
 _STDERR_TAIL_LINES = 40
+_READ_SIZE = 65536  # bytes per read of the child's stdout
 
 
 class ExternalObjectiveError(ObjectiveError):
@@ -62,6 +74,10 @@ class ExternalObjective:
     a string command with shell quoting rules before it gets here).
     Single-consumer: the engine serializes evaluations per run, so no
     locking is done here. Use as a context manager or call close().
+
+    evaluate() writes and reads the child's stdin and stdout in the calling
+    thread; only stderr has a reader thread, which keeps the tail that
+    error messages quote.
     """
 
     def __init__(self, command, timeout: float = 60.0):
@@ -79,39 +95,38 @@ class ExternalObjective:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise ProcessExited(f"could not start {argv[0]!r}: {exc}") from exc
-        self._replies: queue.Queue = queue.Queue()
-        self._stderr_tail: deque = deque(maxlen=_STDERR_TAIL_LINES)
-        self._stdout_thread = threading.Thread(
-            target=self._pump_stdout, daemon=True, name="cfo-obj-stdout"
+        self._stdin_fd = self._proc.stdin.fileno()
+        self._stdout_fd = self._proc.stdout.fileno()
+        os.set_blocking(self._stdin_fd, False)
+        # replies decode as text=True would: locale encoding, universal newlines
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder(locale.getpreferredencoding(False))(),
+            translate=True,
         )
+        self._partial = ""  # decoded text after the last complete reply line
+        self._replies: deque = deque()  # complete reply lines not yet consumed
+        self._stderr_tail: deque = deque(maxlen=_STDERR_TAIL_LINES)
         self._stderr_thread = threading.Thread(
             target=self._pump_stderr, daemon=True, name="cfo-obj-stderr"
         )
-        self._stdout_thread.start()
         self._stderr_thread.start()
         try:
             self._check_handshake()
         except BaseException:
-            # the reader threads hold this instance, so nothing else would
+            # the reader thread holds this instance, so nothing else would
             # ever close the child
             self.close()
             raise
 
     # -- plumbing ----------------------------------------------------------
 
-    def _pump_stdout(self):
-        for line in self._proc.stdout:
-            self._replies.put(line.rstrip("\n"))
-        self._replies.put(None)  # EOF marker
-
     def _pump_stderr(self):
-        for line in self._proc.stderr:
-            self._stderr_tail.append(line.rstrip("\n"))
+        with io.TextIOWrapper(self._proc.stderr) as stderr:
+            for line in stderr:
+                self._stderr_tail.append(line.rstrip("\n"))
 
     def _diagnostics(self) -> str:
         rc = self._proc.poll()
@@ -122,27 +137,68 @@ class ExternalObjective:
             parts.append("stderr tail:\n" + "\n".join(self._stderr_tail))
         return "; ".join(parts)
 
-    def _next_line(self, timeout: float) -> str:
-        try:
-            item = self._replies.get(timeout=timeout)
-        except queue.Empty:
-            self._timed_out = True
-            raise EvaluationTimeout(
-                f"no reply within {timeout:g} s; {self._diagnostics()}"
-            ) from None
-        if item is None:
-            # give the exit code a moment to land before reporting
-            try:
-                self._proc.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:
-                pass
-            raise ProcessExited(
-                f"evaluator stream ended; {self._diagnostics()}"
-            )
-        return item
+    def _receive(self) -> bool:
+        """Read what the child has written; False at the end of its stream."""
+        chunk = os.read(self._stdout_fd, _READ_SIZE)
+        text = self._partial + self._decoder.decode(chunk, final=not chunk)
+        *lines, self._partial = text.split("\n")
+        if not chunk and self._partial:  # a last line without its newline
+            lines.append(self._partial)
+            self._partial = ""
+        self._replies.extend(lines)
+        return bool(chunk)
+
+    def _exchange(self, requests: bytes, n_replies: int):
+        """Write requests and wait until n_replies reply lines are queued.
+
+        One poll loop writes and reads at once, so a batch larger than the
+        pipe buffers cannot deadlock with a child blocked on its stdout.
+        When no byte moves for the timeout, EvaluationTimeout; when the
+        child's stdout ends first, ProcessExited.
+        """
+        todo = memoryview(requests)
+        send_error = None
+        poller = select.poll()
+        poller.register(self._stdout_fd, select.POLLIN)
+        if todo:
+            poller.register(self._stdin_fd, select.POLLOUT)
+        while todo or len(self._replies) < n_replies:
+            ready = poller.poll(self.timeout * 1000.0)
+            if not ready:
+                self._timed_out = True
+                raise EvaluationTimeout(
+                    f"no reply within {self.timeout:g} s; {self._diagnostics()}"
+                )
+            for fd, _event in ready:
+                if fd == self._stdin_fd:
+                    try:
+                        todo = todo[os.write(fd, todo):]
+                    except BlockingIOError:
+                        continue
+                    except OSError as exc:  # the child closed its stdin
+                        send_error, todo = exc, todo[:0]
+                    if not todo:
+                        poller.unregister(fd)
+                elif not self._receive():
+                    if len(self._replies) >= n_replies:
+                        return
+                    # give the exit code a moment to land before reporting
+                    try:
+                        self._proc.wait(timeout=1.0)
+                    except subprocess.TimeoutExpired:
+                        pass
+                    if send_error is not None:
+                        raise ProcessExited(
+                            f"could not send request ({send_error}); "
+                            f"{self._diagnostics()}"
+                        )
+                    raise ProcessExited(
+                        f"evaluator stream ended; {self._diagnostics()}"
+                    )
 
     def _check_handshake(self):
-        line = self._next_line(self.timeout).strip()
+        self._exchange(b"", 1)
+        line = self._replies.popleft().strip()
         fields = line.split()
         if len(fields) != 2 or fields[0] != "CFO-OBJ":
             raise ProtocolError(
@@ -155,28 +211,7 @@ class ExternalObjective:
                 f"(this harness speaks version {PROTOCOL_VERSION})"
             )
 
-    # -- public API --------------------------------------------------------
-
-    def evaluate(self, x, step: int = 0, probe: int = 1) -> float:
-        """Send one EVAL request and return the parsed fitness."""
-        if self._closed:
-            raise ProcessExited("evaluate() called on a closed client")
-        coords = [float(v) for v in x]
-        request = "EVAL %s %d %d %d %s\n" % (
-            RUN_ID,
-            int(step),
-            int(probe),
-            len(coords),
-            " ".join("%.17g" % v for v in coords),
-        )
-        try:
-            self._proc.stdin.write(request)
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise ProcessExited(
-                f"could not send request ({exc}); {self._diagnostics()}"
-            ) from exc
-        reply = self._next_line(self.timeout)
+    def _fitness(self, reply: str) -> float:
         fields = reply.split(None, 1)
         if not fields:
             raise ProtocolError("empty reply line")
@@ -195,6 +230,47 @@ class ExternalObjective:
             message = fields[1] if len(fields) == 2 else "unspecified"
             raise EvaluationError(f"evaluator reported: {message}")
         raise ProtocolError(f"unrecognized reply {reply!r}")
+
+    # -- public API --------------------------------------------------------
+
+    def evaluate(self, rows, step: int = 0) -> list:
+        """Send one EVAL request per row and return the fitnesses in order.
+
+        The k-th row's request carries probe k. Every request is written
+        before the first reply is read. A failure carries failed_row, the
+        1-based row whose reply was missing or bad. After an ERROR or a
+        malformed reply the batch's other replies are still read, so the
+        client stays in step with the child, and the first failure is
+        raised; a timeout or the end of the child's stream raises at once.
+        """
+        if self._closed:
+            raise ProcessExited("evaluate() called on a closed client")
+        requests = []
+        for probe, x in enumerate(rows, 1):
+            coords = [float(v) for v in x]
+            requests.append("EVAL %s %d %d %d %s\n" % (
+                RUN_ID,
+                int(step),
+                probe,
+                len(coords),
+                " ".join("%.17g" % v for v in coords),
+            ))
+        try:
+            self._exchange("".join(requests).encode(), len(requests))
+        except (EvaluationTimeout, ProcessExited) as exc:
+            exc.failed_row = len(self._replies) + 1
+            raise
+        values, failure = [], None
+        for row in range(1, len(requests) + 1):
+            try:
+                values.append(self._fitness(self._replies.popleft()))
+            except ExternalObjectiveError as exc:
+                if failure is None:
+                    exc.failed_row = row
+                    failure = exc
+        if failure is not None:
+            raise failure
+        return values
 
     def close(self):
         """Shut the child down; safe to call more than once.
@@ -220,7 +296,7 @@ class ExternalObjective:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        self._stdout_thread.join(timeout=1.0)
+        proc.stdout.close()
         self._stderr_thread.join(timeout=1.0)
 
     def __enter__(self):

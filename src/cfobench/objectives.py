@@ -44,15 +44,15 @@ class Objective:
 
 
 def row_loop(evaluate_row: Callable) -> Callable:
-    """Batch form of evaluate_row(x, step, probe), probe being the 1-based
-    row number; an exception keeps its type and gets a failed_row attribute."""
+    """Batch form of the plain callable evaluate_row(x); an exception keeps
+    its type and gets a failed_row attribute, the 1-based row number."""
 
     def evaluate_batch(rows, step=0):
         rows = np.asarray(rows, dtype=float)
         out = np.empty(len(rows))
         for i, x in enumerate(rows):
             try:
-                out[i] = float(evaluate_row(x, step, i + 1))
+                out[i] = float(evaluate_row(x))
             except Exception as exc:
                 exc.failed_row = i + 1
                 raise
@@ -68,7 +68,7 @@ def batch_form(objective) -> Callable:
     if batch is not None:
         return batch
     evaluate = getattr(objective, "evaluate", objective)
-    return row_loop(lambda x, _step, _probe: evaluate(x))
+    return row_loop(evaluate)
 
 
 def _shift_rows(rows_fn, offsets):
@@ -162,7 +162,7 @@ def _antenna_factory(power, steering, bounds):
     def factory(obj_id):
         memo = {}
 
-        def row_power(x, _step, _probe):
+        def row_power(x):
             key, mesh_sum = power(x)
             total = antenna.radiated_power(None, power_key=key, mesh_sum=mesh_sum, memo=memo)
             if total == 0.0:
@@ -278,7 +278,8 @@ def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective
     space = DecisionSpace.from_bounds(bounds)
     client = ExternalObjective(command, timeout=timeout)
     return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                     evaluate_batch=row_loop(client.evaluate), close=client.close)
+                     evaluate_batch=lambda rows, step=0: np.array(client.evaluate(rows.tolist(), step)),
+                     close=client.close)
 
 
 def _analytic_factory(rows_fn, bounds, offsets=None, dims_option=False):

@@ -27,6 +27,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+# the same constants as numpy scalars for uniform_batch, built once
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
+_SHIFT30, _SHIFT27, _SHIFT31, _SHIFT11 = (np.uint64(k) for k in (30, 27, 31, 11))
 
 
 def _mix(z: int) -> int:
@@ -58,12 +63,12 @@ class SplitMix64:
         if n <= 0:
             return np.empty(0)
         idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = (np.uint64(self.state) + idx * np.uint64(_GOLDEN))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = (np.uint64(self.state) + idx * _GOLDEN_U64)
+        z = (z ^ (z >> _SHIFT30)) * _MIX1_U64
+        z = (z ^ (z >> _SHIFT27)) * _MIX2_U64
+        z = z ^ (z >> _SHIFT31)
         self.state = (self.state + n * _GOLDEN) & _MASK
-        return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return (z >> _SHIFT11).astype(np.float64) * _INV_2_53
 
 
 @dataclass

@@ -45,6 +45,14 @@ def test_batch_equals_scalar_sequence():
     assert a.next_u64() == b.next_u64()
 
 
+
+@pytest.mark.parametrize("n", [1, 3, 16, 1000])
+def test_uniform_batch_is_n_next_float_calls(n):
+    a = SplitMix64(0x5EED + n)
+    b = SplitMix64(0x5EED + n)
+    assert a.uniform_batch(n).tolist() == [b.next_float() for _ in range(n)]
+    assert a.state == b.state
+
 def test_batch_empty():
     rng = SplitMix64(1)
     before = rng.state

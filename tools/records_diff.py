@@ -14,7 +14,9 @@ coincide throughout, a --seed override sweep, a noisy
 401 spacings (each a distinct geometry, so each a power miss), a `pbm3`
 oracle finer than the benchmark's, a 3x300x300 oracle (its 90,000-point
 trailing block exceeds a grid chunk, so the grid splits after axis 1), a
-noisy 301x301 oracle (its noise stream crosses a chunk boundary), a 3-run
+noisy 301x301 oracle (its noise stream crosses a chunk boundary), an
+`external` oracle at 3x150x150 (67,500 points, sent as batches of 45,000
+and 22,500 requests, each far beyond what the pipes buffer), a 3-run
 `pbm3` gamma sweep (each run builds its own ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
 threads (each run builds its own objective and power memo), a 4-run noisy
 `sgo` seed sweep on 2 threads (each run owns its noise stream), a 3-run
@@ -96,6 +98,7 @@ EXTRA_ORACLES = {  # name: (objective, resolution)
     "pbm5_6": ({"id": "pbm5", "options": {"n_elements": 6}}, [2] * 5),
     "pbm5_2": ({"id": "pbm5", "options": {"n_elements": 2}}, [401]),
     "external": (EXTERNAL, [5, 5, 5]),
+    "external_3x150x150": (EXTERNAL, [3, 150, 150]),
     "pbm3_fine": ("pbm3", [81, 41]),
     "neg_sum_squares_3d": ("neg_sum_squares", [3, 300, 300]),
     "sgo_noisy_301": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [301, 301]),
