@@ -266,8 +266,9 @@ def _shared_run(name: str) -> RunRecord:
 
 def _dipole_saturation_step() -> Optional[int]:
     """First step of the dipole run at which fitness saturation fires, or None."""
-    cfg = CfoConfig(n_probes=4, n_steps=DIPOLE_RUN_STEPS, n_avg_steps=10)
-    series = _shared_run("dipole").step_best_fitness
+    record = _shared_run("dipole")
+    cfg = CfoConfig.from_json(record.config)
+    series = record.step_best_fitness
     return next(
         (j for j in range(len(series)) if detect_fitness_saturation(series, j, cfg)),
         None,

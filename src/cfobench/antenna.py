@@ -12,7 +12,9 @@ the common element axis; every element is a half-wave dipole. The three
 builders below produce distinct positions, unit excitations and a unit
 axis by construction. The ring's positions do not depend on its steering
 phase, so a caller can build the ring once and make only each row's
-excitations with ring_excitations.
+excitations with ring_excitations. Every half-wave pattern and power form
+takes the unit vector toward a node and the element factor there from
+_direction.
 
 Every power integral is the same midpoint sum on the nodes and weights of
 sphere_mesh. radiated_power sums all nodes unless the caller hands it an
@@ -27,9 +29,10 @@ triangle, about 1/16 of the nodes, when n_phi = 2 n_theta), or
 CouplingMatrix.power for a fixed planar array whose excitations vary
 (Re(e^H K e), an N x N product once K is built).
 radiated_power can memoize powers by key in a dict its caller owns (each
-antenna objective keeps one) and calls the form only on a miss, so a form
-that builds its pattern when called builds it only then. The module keeps
-no power state; only the mesh nodes are shared.
+antenna objective keeps one, keyed by a row's geometry coordinates) and
+calls the form only on a miss, so a form that builds its pattern when
+called builds it only then. The module keeps no power state; only the mesh
+nodes are shared.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
 spacings that broadcast with theta, and array_pattern_rows takes one row of
@@ -53,6 +56,8 @@ DEFAULT_N_THETA = 256
 DEFAULT_N_PHI = 512
 ELEMENT_LENGTH = 0.5  # wavelengths; every array element is a half-wave dipole
 RING_ELEMENTS = 8  # the circular array's element count
+_Y = (0.0, 1.0, 0.0)  # element axes
+_Z = (0.0, 0.0, 1.0)
 
 
 class DegeneratePatternError(ValueError):
@@ -138,7 +143,8 @@ def array_pattern_rows(spec: ArraySpec, excitations, theta, phi) -> np.ndarray:
 
 
 def _direction(axis, theta, phi):
-    """The unit vector toward (theta, phi) and the element factor there."""
+    """The unit vector (rx, ry, rz) toward (theta, phi) and the half-wave
+    element factor there about axis."""
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
     st, ct = np.sin(th), np.cos(th)
@@ -157,7 +163,7 @@ def linear_array_spec(d: float, n_elements: int = 10) -> ArraySpec:
     """Uniform in-phase line of z-dipoles along x, spacing d wavelengths."""
     positions = np.zeros((n_elements, 3))
     positions[:, 0] = (np.arange(1, n_elements + 1) - 0.5 * (n_elements + 1)) * d
-    return ArraySpec(positions, np.ones(n_elements, dtype=complex), np.array([0.0, 0.0, 1.0]))
+    return ArraySpec(positions, np.ones(n_elements, dtype=complex), np.array(_Z))
 
 
 def ring_excitations(beta: float) -> np.ndarray:
@@ -171,7 +177,7 @@ def circular_array_spec(beta: float) -> ArraySpec:
     plane, excited by ring_excitations(beta)."""
     ang = [TWO_PI * (n - 1) / RING_ELEMENTS for n in range(1, RING_ELEMENTS + 1)]
     positions = np.array([(math.cos(a), math.sin(a), 0.0) for a in ang])
-    return ArraySpec(positions, ring_excitations(beta), np.array([0.0, 0.0, 1.0]))
+    return ArraySpec(positions, ring_excitations(beta), np.array(_Z))
 
 
 def collinear_array_spec(spacings) -> ArraySpec:
@@ -187,7 +193,7 @@ def collinear_array_spec(spacings) -> ArraySpec:
     y = np.concatenate(([0.0], np.cumsum(sp)))
     positions = np.zeros((len(y), 3))
     positions[:, 1] = y - y.mean()
-    return ArraySpec(positions, np.ones(len(y), dtype=complex), np.array([0.0, 1.0, 0.0]))
+    return ArraySpec(positions, np.ones(len(y), dtype=complex), np.array(_Y))
 
 
 def uniform_line_pattern(d: float, n_elements: int = 10) -> Callable:
@@ -210,11 +216,8 @@ def uniform_line_field(d, n_elements: int, theta, phi):
     multiple of 2 pi are in-phase addition and evaluate to n_elements. d may
     be an array of spacings that broadcasts with theta and phi.
     """
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    st, ct = np.sin(th), np.cos(th)
-    elem = _element_factor(ELEMENT_LENGTH, ct)
-    half = math.pi * d * (st * np.cos(ph))
+    rx, _, _, elem = _direction(_Z, theta, phi)
+    half = math.pi * d * rx
     denom = np.sin(half)
     safe = np.where(np.abs(denom) < 1e-9, 1.0, denom)
     af = np.where(np.abs(denom) < 1e-9, float(n_elements), np.sin(n_elements * half) / safe)
@@ -332,8 +335,7 @@ class UniformLinePower:
         th, ph, sin_th = sphere_mesh(n_theta, n_phi)
         # uniform_line_field's node arithmetic on the octant's (rows, 1)
         # and (1, cols) slices, as _midpoint_sum hands them to the pattern
-        u = np.sin(th[:rows]) * np.cos(ph[:, :cols])
-        elem = _element_factor(ELEMENT_LENGTH, np.cos(th[:rows]))
+        u, _, _, elem = _direction(_Z, th[:rows], ph[:, :cols])
         in_phase = np.empty((rows, cols), dtype=bool)
         return (u, elem, sin_th[:rows], in_phase, *(np.empty((rows, cols)) for _ in range(3)))
 
@@ -397,10 +399,8 @@ class CouplingMatrix:
         k = np.zeros((len(pos), len(pos)), dtype=complex)
         for start in range(0, n_theta // 2, self._ROWS):
             rows = slice(start, min(start + self._ROWS, n_theta // 2))
-            st = sin_th[rows]
-            rx, ry = st * np.cos(ph), st * np.sin(ph)
-            elem = _element_factor(ELEMENT_LENGTH, rx * ax[0] + ry * ax[1] + np.cos(th[rows]) * ax[2])
-            w = elem * elem * st
+            rx, ry, _, elem = _direction(ax, th[rows], ph)
+            w = elem * elem * sin_th[rows]
             e = np.exp(1j * TWO_PI * (rx * pos[:, 0, None, None] + ry * pos[:, 1, None, None]))
             for m in range(len(pos)):
                 k[m, m:] += (np.conj(e[m]) * w * e[m:]).sum(axis=(1, 2))
@@ -441,17 +441,15 @@ class CollinearPower:
             )
         q = n_theta // 2
         th, ph, sin_th = sphere_mesh(n_theta, n_phi)
-        # array_pattern's ry on the octant; its cos_psi there is ry exactly,
-        # because rx and cos(theta) are positive and meet zero axis components
-        ry = np.sin(th[:q]) * np.sin(ph[:, :q])
+        _, ry, _, elem = _direction(_Y, th[:q], ph[:, :q])
         upper = np.triu_indices(q)
         mirror = np.empty((q, q), dtype=np.int32)
         mirror[upper] = mirror.T[upper] = np.arange(len(upper[0]))
-        return ry[upper], _element_factor(ELEMENT_LENGTH, ry)[upper], mirror, sin_th[:q]
+        return ry[upper], elem[upper], mirror, sin_th[:q]
 
     def power(self, spec: ArraySpec, n_theta: int, n_phi: int) -> float:
         pos, exc = spec.positions, spec.excitations
-        if np.any(pos[:, ::2] != 0.0) or np.any(spec.axis != (0.0, 1.0, 0.0)):
+        if np.any(pos[:, ::2] != 0.0) or np.any(spec.axis != _Y):
             raise ValueError("triangle fold: the array must be y dipoles on the y axis")
         tables = self._tables.get((n_theta, n_phi))
         if tables is None:

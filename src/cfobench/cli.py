@@ -207,11 +207,6 @@ def _with_noise_seed(options: dict, noise_seed: Optional[int]) -> dict:
     return options
 
 
-def _fresh_objective(objective_id: str, options: dict,
-                     noise_seed: Optional[int] = None) -> Objective:
-    return get_objective(objective_id, **_with_noise_seed(options, noise_seed))
-
-
 def _close(objective) -> None:
     """Release the objective's resources (an external child process), if any."""
     closer = getattr(objective, "close", None)
@@ -260,7 +255,7 @@ def load_config(path, out_override=None, seed_override=None) -> RunSpec:
         # used by run and oracle, takes the first
         seed_override = _sweep_values(sweep)[0]
     options = _with_noise_seed(options, seed_override)
-    objective = _fresh_objective(objective_id, options)
+    objective = get_objective(objective_id, **options)
     try:
         bounds_pairs = _parse_bounds_block(raw.get("bounds"))
         space = (
@@ -506,8 +501,8 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
 
     def one_run(index: int) -> RunRecord:
         value = values[index]
-        objective = _fresh_objective(spec.objective_id, spec.objective_options,
-                                     noise_seed=value if parameter == "seed" else None)
+        objective = get_objective(spec.objective_id, **_with_noise_seed(
+            spec.objective_options, value if parameter == "seed" else None))
         return _run_and_write(spec, cfgs[index], objective,
                               spec.out_dir / ("run_%0*d" % (pad, index + 1)))
 

@@ -203,7 +203,7 @@ class RunRecord:
     fitness_history: Optional[np.ndarray] = None
     positions_history: Optional[np.ndarray] = None
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self) -> str:
         """Canonical serialization: identical runs give identical bytes.
 
         The raw fitness/position histories stay in memory only; the record
@@ -231,7 +231,7 @@ class RunRecord:
                 "steps_executed": int(self.steps_executed),
             },
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=indent)
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "))
 
 
 # ---------------------------------------------------------------------------

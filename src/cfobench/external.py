@@ -396,21 +396,11 @@ def main(argv=None) -> int:
         prog="python -m cfobench.external",
         description="serve a built-in external-protocol objective",
     )
-    parser.add_argument(
-        "name",
-        choices=["quadratic", "echo", "malformed", "sleepy", "badshake"],
-        help="which built-in evaluator to run",
-    )
-    args = parser.parse_args(argv)
-    if args.name == "quadratic":
-        return _serve_quadratic()
-    if args.name == "echo":
-        return _serve_echo()
-    if args.name == "malformed":
-        return _serve_malformed()
-    if args.name == "sleepy":
-        return _serve_sleepy()
-    return _serve_badshake()
+    servers = {"quadratic": _serve_quadratic, "echo": _serve_echo,
+               "malformed": _serve_malformed, "sleepy": _serve_sleepy,
+               "badshake": _serve_badshake}
+    parser.add_argument("name", choices=servers, help="which built-in evaluator to run")
+    return servers[parser.parse_args(argv).name]()
 
 
 if __name__ == "__main__":

@@ -62,13 +62,10 @@ def row_loop(evaluate_row: Callable) -> Callable:
 
 
 def batch_form(objective) -> Callable:
-    """The objective's evaluate_batch; a plain callable, or an object with
-    only evaluate, is evaluated one row at a time."""
+    """The objective's evaluate_batch; a plain callable f(x) is evaluated
+    one row at a time."""
     batch = getattr(objective, "evaluate_batch", None)
-    if batch is not None:
-        return batch
-    evaluate = getattr(objective, "evaluate", objective)
-    return row_loop(evaluate)
+    return row_loop(objective) if batch is None else batch
 
 
 def _shift_rows(rows_fn, offsets):
@@ -136,16 +133,17 @@ def _himmelblau_rows(X):
 
 # ---------------------------------------------------------------------------
 # antenna surrogate objectives: each id is two functions. power(x) gives the
-# row's power key and the exact cheaper form of radiated_power's sum on the
-# same nodes; the form builds its pattern only when called, which
-# radiated_power does only on a miss in the objective's own memo.
+# row's power key, the coordinates that fix its geometry (the memo belongs to
+# one objective, so the key needs no id), and the exact cheaper form of
+# radiated_power's sum on the same nodes; the form builds its pattern only
+# when called, which radiated_power does only on a miss in that memo.
 # steering(rows) gives |F(theta0, phi0)| for the whole batch.
 
 
 def _pbm1_power(x):
     # the dipole's |F| does not depend on phi
     length = float(x[0])
-    return ("pbm1", length), lambda n_theta, n_phi: antenna.axisymmetric_power(
+    return (length,), lambda n_theta, n_phi: antenna.axisymmetric_power(
         lambda th, _ph: antenna.dipole_pattern(length, th), n_theta, n_phi)
 
 
@@ -191,7 +189,7 @@ def _make_pbm2(obj_id) -> Objective:
 
     def power(x):
         d = float(x[0])
-        return ("pbm2", 10, d), lambda n_theta, n_phi: line.power(d, 10, n_theta, n_phi)
+        return (d,), lambda n_theta, n_phi: line.power(d, 10, n_theta, n_phi)
 
     def steering(rows):
         return antenna.uniform_line_field(rows[:, 0], 10, rows[:, 1], math.pi / 2)
@@ -208,7 +206,7 @@ def _make_pbm3(obj_id) -> Objective:
 
     def power(x):
         beta = float(x[0])
-        return ("pbm3", beta), lambda n_theta, n_phi: coupling.power(
+        return (beta,), lambda n_theta, n_phi: coupling.power(
             antenna.ring_excitations(beta), n_theta, n_phi)
 
     def steering(rows):
@@ -235,8 +233,7 @@ def _make_pbm5(obj_id, n_elements=10) -> Objective:
     stack = antenna.CollinearPower()
 
     def power(x):
-        key = ("pbm5",) + tuple(float(v) for v in x)
-        return key, lambda n_theta, n_phi: stack.power(
+        return tuple(x.tolist()), lambda n_theta, n_phi: stack.power(
             antenna.collinear_array_spec(x), n_theta, n_phi)
 
     return _antenna_factory(power, lambda rows: np.full(len(rows), amp),

@@ -1,6 +1,7 @@
 """Golden SHA-256 digests of record.json for nine short runs, of
 summary.csv and summary.txt for one sweep and one single run, and of every
-text file one short 2-D run writes with all its per-step outputs on.
+text file one short 2-D run writes with all its per-step outputs on, and
+of the ring's coupling matrix K, which every pbm3 power is read from.
 
 Byte-identical records are guaranteed per platform and numpy build (see the
 README), so the digests are pinned to the build they were taken on and the
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 
+from cfobench.antenna import CouplingMatrix, circular_array_spec
 from cfobench.cli import main
 
 BUILD = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
@@ -129,3 +131,15 @@ def test_text_output_digests(tmp_path):
     assert main(["run", "--config", str(config), "--quiet"]) == 0
     assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.rglob("*.txt")} == TEXT_DIGESTS
+
+
+# the bytes of CouplingMatrix(circular_array_spec(0.0))'s K at 256 x 512
+K_DIGEST = "287290ac92fb342c5dc64a1df63e0782753d3cda549699e6ed69b703b1a78549"
+
+
+def test_ring_coupling_matrix_digest():
+    if _this_build() != BUILD:
+        pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
+    k = CouplingMatrix(circular_array_spec(0.0))._build(256, 512)
+    assert (k.shape, k.dtype) == ((8, 8), np.complex128)
+    assert hashlib.sha256(k.tobytes()).hexdigest() == K_DIGEST

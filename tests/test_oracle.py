@@ -71,12 +71,7 @@ def test_non_finite_values_lose():
 def test_batch_and_scalar_paths_agree():
     obj = get_objective("himmelblau")
     with_batch = grid_oracle(obj, resolution=151)
-
-    class ScalarOnly:
-        bounds = obj.bounds
-        evaluate = staticmethod(obj.evaluate)
-
-    scalar = grid_oracle(ScalarOnly(), resolution=151)
+    scalar = grid_oracle(obj.evaluate, bounds=obj.bounds, resolution=151)
     assert np.array_equal(with_batch.argmax, scalar.argmax)
     assert with_batch.value == scalar.value
 
