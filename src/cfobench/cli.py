@@ -52,6 +52,7 @@ from .engine import (
     InvariantError,
     RunRecord,
     run,
+    run_group,
 )
 from .objectives import Objective, ObjectiveError, get_objective, list_objectives
 from .oracle import grid_oracle
@@ -75,6 +76,12 @@ EMIT_FLAGS = tuple(DEFAULT_EMIT)
 DEFAULT_N_STEPS = 500
 DEFAULT_PROBES_PER_DIM = 4
 DEFAULT_MIN_PROBES = 6
+# sweep_groups' limits on a lockstep group: past 16 runs a run's share of a
+# gp step hardly falls, while every run keeps its objective alive; past 2^17
+# pair coordinates (1 MiB per pair array) a group was no faster than its
+# runs one at a time
+MAX_GROUP_RUNS = 16
+GROUP_PAIR_BUDGET = 1 << 17
 
 
 def default_probe_count(n_dims: int) -> int:
@@ -439,21 +446,14 @@ def _result_line(name: str, record: RunRecord) -> str:
     )
 
 
-def _run_and_write(spec: RunSpec, cfg: CfoConfig, objective: Objective,
-                   out_dir: Path) -> RunRecord:
-    """Run cfg on objective, close the objective, and write the run's files."""
-    try:
-        record = run(cfg, spec.space, objective,
-                     keep_history=_writes_history(spec.emit, spec.space.n_dims))
-    finally:
-        _close(objective)
-    write_run_files(record, out_dir, spec.emit, spec.space.n_dims)
-    return record
-
-
 def run_benchmark(spec: RunSpec, quiet: bool = False) -> RunRecord:
     """Execute a single configured run and write its output files."""
-    record = _run_and_write(spec, spec.cfo, spec.objective, spec.out_dir)
+    try:
+        record = run(spec.cfo, spec.space, spec.objective,
+                     keep_history=_writes_history(spec.emit, spec.space.n_dims))
+    finally:
+        _close(spec.objective)
+    write_run_files(record, spec.out_dir, spec.emit, spec.space.n_dims)
     if spec.emit.get("summary"):
         rows = _summary_rows([record], [None])
         write_summary(spec.out_dir, rows, [record], "Param")
@@ -477,15 +477,46 @@ def _sweep_run_config(spec: RunSpec, parameter: str, value):
     return cfg
 
 
+def sweep_groups(spec: RunSpec, cfgs: List[CfoConfig], jobs: int = 1) -> List[range]:
+    """Cut a sweep's runs into the lockstep groups run_group() steps together.
+
+    A group is consecutive runs with one probe count, at most
+    MAX_GROUP_RUNS of them (each keeps its objective alive until the group
+    ends) and at most a jobs-th of the sweep (rounded up), so each of jobs
+    threads has a group to take, with R * n_p^2 * n_d, the size of the
+    group's pair arrays, at most GROUP_PAIR_BUDGET unless the group is one
+    run. An objective that owns an external child gets one run per group,
+    so a sweep thread holds one child at a time.
+    """
+    external = getattr(spec.objective, "close", None) is not None
+    n_d = spec.space.n_dims
+    size = min(MAX_GROUP_RUNS, -(-len(cfgs) // jobs))
+    groups, start = [], 0
+    for i in range(1, len(cfgs) + 1):
+        n_p = int(cfgs[start].n_probes)
+        if (i == len(cfgs) or external or int(cfgs[i].n_probes) != n_p
+                or i - start >= size
+                or (i - start + 1) * n_p * n_p * n_d > GROUP_PAIR_BUDGET):
+            groups.append(range(start, i))
+            start = i
+    return groups
+
+
 def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
     """Run the configured sweep; returns (records, summary rows).
 
-    Every run builds its own objective; the one load_config built is closed
-    first, which ends an external child.
+    The runs go through run_group() in the groups sweep_groups() cuts, and
+    jobs threads take whole groups. Every run builds its own objective when
+    its group starts, and the group closes them all when it ends; the one
+    load_config built is closed first, which ends an external child. A
+    group writes its runs' files when it ends. A failed run's error is
+    raised after the files of the runs before it are written.
     """
     _close(spec.objective)
     if spec.sweep is None:
         raise ConfigError("sweep: the config has no sweep block")
+    if jobs < 1:
+        raise ConfigError(f"--jobs: need at least 1 thread, got {jobs}")
     parameter = spec.sweep["parameter"]
     values = _sweep_values(spec.sweep)
     if parameter == "seed" and not isinstance(
@@ -498,21 +529,33 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
 
     cfgs = [_sweep_run_config(spec, parameter, v) for v in values]
     pad = max(2, len(str(len(values))))
+    keep_history = _writes_history(spec.emit, spec.space.n_dims)
 
-    def one_run(index: int) -> RunRecord:
-        value = values[index]
-        objective = get_objective(spec.objective_id, **_with_noise_seed(
-            spec.objective_options, value if parameter == "seed" else None))
-        return _run_and_write(spec, cfgs[index], objective,
-                              spec.out_dir / ("run_%0*d" % (pad, index + 1)))
+    def one_group(runs: range) -> List[RunRecord]:
+        objectives = []
+        try:
+            for i in runs:
+                objectives.append(get_objective(spec.objective_id, **_with_noise_seed(
+                    spec.objective_options, values[i] if parameter == "seed" else None)))
+            outcomes = run_group([cfgs[i] for i in runs], spec.space, objectives, keep_history)
+        finally:
+            for objective in objectives:
+                _close(objective)
+        for i, outcome in zip(runs, outcomes):
+            if isinstance(outcome, Exception):
+                raise outcome
+            write_run_files(outcome, spec.out_dir / ("run_%0*d" % (pad, i + 1)),
+                            spec.emit, spec.space.n_dims)
+        return outcomes
 
-    if jobs <= 1:
-        records = [one_run(i) for i in range(len(values))]
+    groups = sweep_groups(spec, cfgs, jobs)
+    if jobs == 1:
+        records = [record for runs in groups for record in one_group(runs)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one_run, i) for i in range(len(values))]
+            futures = [pool.submit(one_group, runs) for runs in groups]
             # collect strictly in run order so output is deterministic
-            records = [f.result() for f in futures]
+            records = [record for f in futures for record in f.result()]
 
     rows = _summary_rows(records, values)
     param_label = {"gamma": "Gamma", "frep_init": "FrepInit",

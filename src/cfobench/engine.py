@@ -2,15 +2,17 @@
 
 Probes with recorded fitness values attract each other: a probe accelerates
 toward every probe whose fitness exceeds its own, with a coupling that grows
-with the fitness gap and decays with distance. run() is one loop over plain
-local variables and one set of step arrays sized for the run (_Step): move
-the probes by the half-a-t-squared kinematic update, pull probes that left
-the box back inside by the repositioning factor, evaluate them, update the
-running best, the saved-best ring and the repositioning factor, then
-compute the next accelerations. A fitness
-saturation detector diagnoses convergence. Every run starts at zero
-acceleration, and with a fixed noise seed the whole trajectory is a pure
-function of the inputs.
+with the fitness gap and decays with distance. run() is one loop, the
+one-run case of run_group(), which steps a group of runs in lockstep over
+one set of step arrays with a leading run axis (_Step): move the probes by
+the half-a-t-squared kinematic update, pull probes that left the box back
+inside by the repositioning factor, evaluate them (each run's objective
+with its own rows), update the running best, the saved-best ring and the
+repositioning factor, then compute the next accelerations. Each numpy call
+of the step serves the whole group, and each run's record is the bytes it
+gets alone. A fitness saturation detector diagnoses convergence. Every run
+starts at zero acceleration, and with a fixed noise seed the whole
+trajectory is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -239,41 +241,54 @@ class RunRecord:
 
 
 class _Step:
-    """Scratch arrays for the engine step at n_p probes in n_d dimensions.
+    """Scratch arrays for the engine step of n_r runs in lockstep, each with
+    n_p probes in n_d dimensions; every array leads with the run axis, which
+    the pair arrays merge with the probe axis.
 
-    run() builds one per run and reuses its arrays on every step; each public
-    step function below builds a throwaway one, so run() and the public
-    functions execute the same code. Nothing is kept at module level, so
-    runs in different threads never share a buffer. Each value is what
-    fresh arrays would hold: the same ufuncs on the same operands in the
-    same order, where in-place ** takes numpy's scalar-power shortcut (an
-    integer 2 squares) exactly where ** does.
+    run_group() builds one per group and reuses its arrays on every step;
+    each public step function below builds a throwaway one for a single
+    run, so the group loop and the public functions execute the same code.
+    Nothing is kept at module level, so groups in different threads never
+    share a buffer. Each value is what fresh arrays for one run would hold:
+    the same ufuncs on the same operands in the same order, the run axis
+    only adding an outer loop, where in-place ** takes numpy's scalar-power
+    shortcut (an integer 2 squares) exactly where ** does.
     """
 
-    def __init__(self, n_p: int, n_d: int):
-        self.pairs = np.empty((n_p, n_p, n_d))     # [p, k, :] = r_k - r_p
-        self.squares = np.empty((n_p, n_p, n_d))
-        self.dist = np.empty((n_p, n_p))           # distance, then distance^beta
-        self.weight = np.empty((n_p, n_p))         # fitness gap, mass, then weight
-        self.alive = np.empty((n_p, n_p), dtype=bool)
-        self.dead = np.empty((n_p, n_p), dtype=bool)
-        self.acc = np.empty((n_p, n_d))
-        self.low = np.empty((n_p, n_d), dtype=bool)
-        self.high = np.empty((n_p, n_d), dtype=bool)
-        self.pull = np.empty((n_p, n_d))
-        self.offsets = np.empty((n_p, n_d))
-        self.radii = np.empty(n_p)
+    def __init__(self, n_r: int, n_p: int, n_d: int):
+        # the pair arrays merge the run and probe axes, [r * n_p + p, k]:
+        # every run's probe p against probe k of the same run
+        self.pairs = np.empty((n_r * n_p, n_p, n_d))     # [., k, :] = r_k - r_p
+        self.squares = np.empty((n_r * n_p, n_p, n_d))
+        self.dist = np.empty((n_r * n_p, n_p))           # distance, then distance^beta
+        self.weight = np.empty((n_r * n_p, n_p))         # fitness gap, mass, then weight
+        self.alive = np.empty((n_r * n_p, n_p), dtype=bool)
+        self.dead = np.empty((n_r * n_p, n_p), dtype=bool)
+        self.acc = np.empty((n_r, n_p, n_d))
+        self.low = np.empty((n_r, n_p, n_d), dtype=bool)
+        self.high = np.empty((n_r, n_p, n_d), dtype=bool)
+        self.pull = np.empty((n_r, n_p, n_d))
+        self.offsets = np.empty((n_r, n_p, n_d))
+        self.radii = np.empty((n_r, n_p))
+        self.totals = np.empty(n_r)
+        self.run_pairs = self.pairs.reshape(n_r, n_p, n_p, n_d)
+        self.run_weight = self.weight.reshape(n_r, n_p, n_p)
+        self.flat_acc = self.acc.reshape(n_r * n_p, n_d)
 
     @staticmethod
     def advance(prev: np.ndarray, acc: np.ndarray, delta_t: float, out: np.ndarray) -> np.ndarray:
         np.multiply(acc, 0.5, out=out)
-        out *= delta_t ** 2
+        if delta_t != 1.0:  # a factor of 1 changes no bit
+            out *= delta_t ** 2
         out += prev
         return out
 
     def retrieve(self, raw: np.ndarray, prev: np.ndarray, space: DecisionSpace,
-                 frep: float) -> np.ndarray:
-        """Retrieve raw's escaped coordinates in place and return raw."""
+                 frep) -> np.ndarray:
+        """Retrieve raw's escaped coordinates in place and return raw; frep
+        is the factor, or an array of raw's shape that holds each run's
+        factor in all its coordinates (numpy multiplies by it faster than
+        by a broadcast (n_r, 1, 1) column)."""
         lo, hi, low, high, pull = space.lower, space.upper, self.low, self.high, self.pull
         np.less(raw, lo, out=low)
         np.greater(raw, hi, out=high)
@@ -289,11 +304,11 @@ class _Step:
     def accelerations(self, pos: np.ndarray, fit: np.ndarray, cfg: CfoConfig,
                       space: DecisionSpace) -> np.ndarray:
         pairs, dist, weight, dead = self.pairs, self.dist, self.weight, self.dead
-        np.subtract(pos[None, :, :], pos[:, None, :], out=pairs)
+        np.subtract(pos[:, None], pos[:, :, None], out=self.run_pairs)
         np.multiply(pairs, pairs, out=self.squares)
         np.add.reduce(self.squares, axis=2, out=dist)
         np.sqrt(dist, out=dist)
-        np.subtract(fit[None, :], fit[:, None], out=weight)
+        np.subtract(fit[:, None], fit[:, :, None], out=self.run_weight)
         np.maximum(weight, 0.0, out=weight)
         weight **= float(cfg.alpha)
         # a probe's own pair has distance exactly 0, so it is never alive
@@ -302,17 +317,21 @@ class _Step:
         dist **= float(cfg.beta)
         np.divide(weight, dist, out=weight, where=self.alive)
         np.copyto(weight, 0.0, where=dead)
-        np.einsum("pk,pkd->pd", weight, pairs, out=self.acc)
-        self.acc *= float(cfg.g)
+        np.einsum("pk,pkd->pd", weight, pairs, out=self.flat_acc)
+        self.flat_acc *= float(cfg.g)
         return self.acc
 
-    def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace) -> float:
+    def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace) -> list:
+        """Each run's average probe distance from its reference point
+        (reference[r, 0] for run r), normalized by the diagonal; the final
+        division is Python's, which rounds as numpy's does."""
         offsets, radii = self.offsets, self.radii
         np.subtract(pos, reference, out=offsets)
         offsets **= 2
-        np.add.reduce(offsets, axis=1, out=radii)
+        np.add.reduce(offsets, axis=2, out=radii)
         np.sqrt(radii, out=radii)
-        return float(np.add.reduce(radii) / (space.diag_length * (len(radii) - 1)))
+        scale = space.diag_length * (radii.shape[1] - 1)
+        return [total / scale for total in np.add.reduce(radii, axis=1, out=self.totals).tolist()]
 
 
 def compute_accelerations(
@@ -331,7 +350,7 @@ def compute_accelerations(
     fit = np.asarray(fitness, dtype=float)
     if not np.isfinite(fit).all():
         raise EngineError("non-finite fitness passed to acceleration update")
-    return _Step(*pos.shape).accelerations(pos, fit, cfg, space)
+    return _Step(1, *pos.shape).accelerations(pos[None], fit[None], cfg, space)[0]
 
 
 def advance_positions(
@@ -353,7 +372,8 @@ def retrieve_errant_probes(
     clip only absorbs 1-ulp rounding of the arithmetic above.
     """
     out = np.array(raw, dtype=float)
-    return _Step(*out.shape).retrieve(out, np.asarray(prev, dtype=float), space, frep)
+    return _Step(1, *out.shape).retrieve(out[None], np.asarray(prev, dtype=float)[None], space,
+                                         frep)[0]
 
 
 def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> float:
@@ -365,11 +385,17 @@ def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> 
     arithmetic, np.add.reduce(tail) / len(tail), without its Python wrapper.
     """
     tail = saved_best[cfg.n_saved - cfg.n_sat:]
-    mean = np.add.reduce(tail) / len(tail)
-    if abs(float(saved_best[cfg.n_saved - 1]) - float(mean)) <= cfg.fit_tol:
-        nxt = frep_current + cfg.frep_increment
+    return _next_frep(frep_current, float(saved_best[cfg.n_saved - 1]),
+                      float(np.add.reduce(tail)), cfg)
+
+
+def _next_frep(frep: float, last: float, tail_sum: float, cfg: CfoConfig) -> float:
+    """update_frep's rule, given the ring's last slot and the sum of its
+    last n_sat slots (a Python float divides as numpy's float64 does)."""
+    if abs(last - tail_sum / cfg.n_sat) <= cfg.fit_tol:
+        nxt = frep + cfg.frep_increment
         return cfg.frep_init if nxt >= 1.0 else nxt
-    return frep_current
+    return frep
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +469,8 @@ def d_avg(positions: np.ndarray, reference: np.ndarray, space: DecisionSpace) ->
     n_p = pos.shape[0]
     if n_p < 2:
         raise ValueError("spread diagnostic needs at least 2 probes")
-    return _Step(*pos.shape).d_avg(pos, np.asarray(reference, dtype=float), space)
+    ref = np.asarray(reference, dtype=float)
+    return _Step(1, *pos.shape).d_avg(pos[None], ref[None, None], space)[0]
 
 
 def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
@@ -463,23 +490,271 @@ def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConf
 # the run loop
 
 
-def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
+def _absorb_row(row: list, best_v: float) -> tuple[float, int]:
     """Scan one step's fitnesses in probe order against the running best.
 
     Every value >= the best so far takes over, so ties go to the later
-    probe. Returns the new best and the 0-based index of the last probe
-    that took over, or -1 when none did.
+    probe: the last to take over is the last probe whose value equals the
+    row's maximum, if that maximum is >= best_v, and the new best is that
+    probe's value (of either sign, where the maximum is a zero). Returns the
+    new best and the 0-based index of that probe, or -1 when none took over.
     """
-    taker = -1
-    for p, v in enumerate(row.tolist()):
-        if v >= best_v:
-            best_v, taker = v, p
-    return best_v, taker
+    top = max(row)
+    if not top >= best_v:
+        return best_v, -1
+    taker = len(row) - 1 - row[::-1].index(top)
+    return row[taker], taker
+
+
+# the config fields the runs of one group share: the step arrays' shape and
+# the constants of their arithmetic, and the shape of the saved-best rings
+_GROUP_FIELDS = ("n_probes", "g", "delta_t", "alpha", "beta", "n_saved", "n_sat")
+
+
+class _Run:
+    """One run of a lockstep group: its config and objective, and every value
+    of it that the group's step arrays do not hold."""
+
+    __slots__ = ("index", "cfg", "keep_history", "batch", "n_p", "n_steps", "shape", "frep",
+                 "best_v", "best_p", "best_step", "row_max", "ring_last", "cum_best",
+                 "step_best", "best_probes", "davg", "freps", "fit_hist", "pos_hist")
+
+    def __init__(self, index: int, cfg: CfoConfig, objective, keep_history: bool):
+        self.index, self.cfg, self.keep_history = index, cfg, keep_history
+        self.batch = batch_form(objective)
+        self.n_p, self.n_steps = int(cfg.n_probes), int(cfg.n_steps)
+        self.shape = (self.n_p,)
+        self.frep = float(cfg.frep_init)
+        self.best_v, self.best_p, self.best_step = -math.inf, 0, 0
+        self.row_max = self.ring_last = -math.inf  # the step's best; the ring's last slot
+        self.cum_best, self.step_best, self.best_probes, self.davg, self.freps = [], [], [], [], []
+        self.fit_hist, self.pos_hist = [], []
+
+    def evaluate(self, rows: np.ndarray, step: int) -> tuple[np.ndarray, int]:
+        """Evaluate the run's rows and fold the values into the running best
+        and the step's best value; returns the values and the 0-based probe
+        that took over the best, or -1."""
+        try:
+            values = np.asarray(self.batch(rows, step=step), dtype=float)
+        except Exception as exc:
+            probe = getattr(exc, "failed_row", None)
+            where = f"step {step}" if probe is None else f"step {step}, probe {probe}"
+            raise EngineError(f"objective failed at {where}: {exc}") from exc
+        if values.shape != self.shape:
+            raise EngineError(f"objective gave shape {values.shape} at step {step}, "
+                              f"not ({self.n_p},)")
+        row = values.tolist()
+        # a sum of finite values is finite unless it overflows, and then the
+        # scan finds nothing
+        if not math.isfinite(sum(row)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise EngineError(f"objective returned non-finite fitness at step {step}, "
+                                  f"probe {bad[0] + 1}")
+        if self.keep_history:
+            self.fit_hist.append(row)
+        row_best, taker = _absorb_row(row, self.best_v)
+        # the maximum's bits are the row's unless it is a zero, whose sign
+        # numpy's maximum picks by its own rule
+        top = row[taker] if taker >= 0 else max(row)
+        self.row_max = top if top != 0.0 else float(np.maximum.reduce(values))
+        if taker >= 0:
+            self.best_v, self.best_p, self.best_step = row_best, taker + 1, step
+        return values, taker
+
+    def record_step(self, step: int, davg: float, tail_sum: Optional[float]) -> Optional[str]:
+        """Update the repositioning factor from the sum of the ring's last
+        n_sat slots (from step 1 on), append the step's diagnostics, and
+        return the termination reason when the run ends at this step, else
+        None."""
+        if step:
+            self.frep = _next_frep(self.frep, self.ring_last, tail_sum, self.cfg)
+        self.cum_best.append(self.best_v)
+        self.step_best.append(self.row_max)
+        self.best_probes.append(self.best_p)
+        self.davg.append(davg)
+        self.freps.append(self.frep)
+        if step == self.n_steps:
+            return "CompletedNt"
+        if self.cfg.early_termination and detect_fitness_saturation(self.step_best, step,
+                                                                    self.cfg):
+            return "FitnessSaturated"
+        return None
+
+    def record(self, space: DecisionSpace, best_x: np.ndarray, reason: str) -> RunRecord:
+        cfg, cum_best = self.cfg, self.cum_best
+        cum = np.asarray(cum_best)
+        sat = int(np.searchsorted(cum, cum[-1] - cfg.fitness_sat_tol, side="left"))
+        return RunRecord(
+            config=cfg.to_dict(),
+            bounds=space.bounds_list(),
+            best_fitness=cum_best,
+            step_best_fitness=self.step_best,
+            best_probe=self.best_probes,
+            d_avg=self.davg,
+            frep=self.freps,
+            n_eval=[(j + 1) * self.n_p for j in range(len(cum_best))],
+            best_point=best_x.copy(),
+            final_best_fitness=self.best_v,
+            final_best_probe=self.best_p,
+            final_best_step=self.best_step,
+            saturation_step=sat,
+            termination_reason=reason,
+            steps_executed=len(cum_best) - 1,
+            fitness_history=np.asarray(self.fit_hist) if self.keep_history else None,
+            positions_history=np.asarray(self.pos_hist) if self.keep_history else None,
+        )
+
+
+def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Sequence,
+              keep_history: bool = False) -> list:
+    """Execute a group of runs in lockstep; each run's record is the bytes
+    run() gives it alone.
+
+    The runs share the decision space and the config fields in _GROUP_FIELDS
+    (the probe count and the force and step constants); anything else may
+    differ, gamma and frep_init being what sweeps vary. Every step array
+    leads with a run axis, so each numpy call of the step serves the whole
+    group, while each run keeps its own fitnesses, running best, saved-best
+    ring, repositioning factor, series, history and objective. Each step
+    calls the objectives in run order, each once with only its own run's
+    rows. A run that finishes (at n_steps, or saturated under
+    early_termination) leaves the group.
+
+    Returns one outcome per run, in run order, up to the lowest-numbered
+    run that failed: a RunRecord, or for that run (the last item) the
+    EngineError or InvariantError that stopped it. A failure ends the runs
+    numbered after it, while those numbered before it go on, since one of
+    them may still fail, so the outcome is the one running the group one
+    run at a time would meet first.
+    """
+    cfgs = list(cfgs)
+    for cfg in cfgs:
+        cfg.validate(space)
+    lead = cfgs[0]
+    for cfg in cfgs[1:]:
+        for name in _GROUP_FIELDS:
+            if getattr(cfg, name) != getattr(lead, name):
+                raise ValueError(f"run_group: the runs must share {name}")
+    if len(objectives) != len(cfgs):
+        raise ValueError("run_group: need one objective per config")
+    n_p, n_d, n_saved = int(lead.n_probes), space.n_dims, lead.n_saved
+    active = [_Run(i, cfg, obj, keep_history)
+              for i, (cfg, obj) in enumerate(zip(cfgs, objectives))]
+    outcomes: dict = {}
+    cut = len(cfgs)  # the lowest-numbered failed run so far, or the run count
+
+    positions = np.array([init_probes(cfg.init_scheme, space, cfg) for cfg in cfgs])
+    accelerations = np.zeros_like(positions)
+    best_x = np.empty((len(cfgs), 1, n_d))  # each run's best point, at [r, 0]
+    frep = np.empty_like(positions)
+    for i, run in enumerate(active):
+        frep[i] = run.frep
+    saved = np.empty((len(cfgs), n_saved))  # each run's saved-best ring
+    tail = saved[:, n_saved - lead.n_sat:]
+    fitness = np.empty((len(cfgs), n_p))
+    step = _Step(len(cfgs), n_p, n_d)
+    spare = np.empty_like(positions)
+
+    def fail(run: _Run, exc: Exception) -> None:
+        nonlocal cut
+        if run.index < cut:
+            cut = run.index
+            outcomes[run.index] = exc
+
+    def keep(rows: list) -> None:
+        """Shrink the group to the active runs at rows."""
+        nonlocal active, positions, accelerations, best_x, frep, saved, tail, fitness, step, spare
+        active = [active[i] for i in rows]
+        positions, accelerations = positions[rows], accelerations[rows]
+        best_x, frep, saved, fitness = best_x[rows], frep[rows], saved[rows], fitness[rows]
+        tail = saved[:, n_saved - lead.n_sat:]
+        step = _Step(len(active), n_p, n_d)
+        spare = np.empty_like(positions)
+
+    def keep_unfailed() -> None:
+        keep([i for i, run in enumerate(active) if run.index < cut])
+
+    j = 0
+    while True:
+        if j:
+            raw = step.advance(positions, accelerations, lead.delta_t, spare)
+            spare, positions = positions, step.retrieve(raw, positions, space, frep)
+            # retrieval ends with a clip to the box, so a coordinate outside
+            # it is a NaN, and np.maximum passes any NaN on
+            if math.isnan(np.maximum.reduce(positions, axis=None)):
+                lost = np.isnan(positions).any(axis=(1, 2))
+                fail(active[int(np.argmax(lost))],
+                     InvariantError(f"probe escaped containment at step {j}"))
+                keep_unfailed()
+                if not active:
+                    break
+
+        # each objective gets its run's rows of one copy of the positions;
+        # a run's values are folded in as they come, since a run that fails
+        # later in the step leaves the group with all it holds
+        for i, (run, x) in enumerate(zip(active, positions.copy())):
+            try:
+                values, taker = run.evaluate(x, j)
+            except EngineError as exc:
+                fail(run, exc)
+                break
+            fitness[i] = values
+            if taker >= 0:  # always at step 0, whose best fills the ring
+                best_x[i, 0] = positions[i, taker]
+                if not j:
+                    saved[i] = run.ring_last = run.best_v
+                else:
+                    slot = (j - 1) % n_saved
+                    saved[i, slot] = run.best_v
+                    if slot == n_saved - 1:
+                        run.ring_last = run.best_v
+            if keep_history:
+                run.pos_hist.append(positions[i].copy())
+        if cut <= active[-1].index:  # a run failed in the loop
+            keep_unfailed()
+            if not active:
+                break
+
+        if j:
+            accelerations = step.accelerations(positions, fitness, lead, space)
+            if math.isnan(np.maximum.reduce(accelerations, axis=None)):
+                for i, run in enumerate(active):
+                    bad = np.flatnonzero(np.isnan(accelerations[i]).any(axis=1))
+                    if len(bad):
+                        fail(run, EngineError(
+                            f"acceleration is NaN at step {j}, probe {bad[0] + 1}: "
+                            "a force term overflowed (check alpha and beta)"))
+                        break
+                keep_unfailed()
+                if not active:
+                    break
+
+        davg = step.d_avg(positions, best_x, space)
+        # update_frep's tail sums for every ring, in one reduce
+        tails = np.add.reduce(tail, axis=1).tolist() if j else [None] * len(active)
+        done = []
+        for i, (run, run_davg, tail_sum) in enumerate(zip(active, davg, tails)):
+            frep_was = run.frep
+            reason = run.record_step(j, run_davg, tail_sum)
+            if run.frep != frep_was:
+                frep[i] = run.frep
+            if reason is not None:
+                outcomes[run.index] = run.record(space, best_x[i, 0], reason)
+                done.append(i)
+        if done:
+            if len(done) == len(active):
+                break
+            keep([i for i in range(len(active)) if i not in done])
+        j += 1
+
+    return [outcomes[i] for i in range(min(cut + 1, len(cfgs)))]
 
 
 def run(cfg: CfoConfig, space: DecisionSpace, objective,
         keep_history: bool = False) -> RunRecord:
-    """Execute one optimization run and return its record.
+    """Execute one optimization run and return its record: the one-run case
+    of run_group().
 
     Step 0 evaluates the initial layout and fills the saved-best ring with
     its best. Every probe starts from rest (zero acceleration), so step 1
@@ -495,100 +770,11 @@ def run(cfg: CfoConfig, space: DecisionSpace, objective,
     keeps every step's fitnesses and positions in the record (in memory
     only).
 
-    The step arithmetic runs in one _Step's arrays, allocated once per run,
-    and the positions alternate between two arrays the run owns; the
-    objective always gets a copy.
+    The step arithmetic runs in one _Step's arrays, allocated once per
+    group (and again when a run leaves it), and the positions alternate
+    between two arrays the group owns; the objective always gets a copy.
     """
-    cfg.validate(space)
-    n_p, n_d = int(cfg.n_probes), space.n_dims
-
-    batch = batch_form(objective)
-
-    def evaluate_all(pos: np.ndarray, step: int) -> np.ndarray:
-        try:
-            values = np.asarray(batch(pos.copy(), step=step), dtype=float)
-        except Exception as exc:
-            probe = getattr(exc, "failed_row", None)
-            where = f"step {step}" if probe is None else f"step {step}, probe {probe}"
-            raise EngineError(f"objective failed at {where}: {exc}") from exc
-        if values.shape != (n_p,):
-            raise EngineError(f"objective gave shape {values.shape} at step {step}, not ({n_p},)")
-        if not np.isfinite(values).all():
-            bad = np.flatnonzero(~np.isfinite(values))
-            raise EngineError(
-                f"objective returned non-finite fitness at step {step}, probe {bad[0] + 1}"
-            )
-        return values
-
-    step = _Step(n_p, n_d)
-    positions = init_probes(cfg.init_scheme, space, cfg)
-    spare = np.empty_like(positions)
-    accelerations = np.zeros((n_p, n_d))
-    frep = float(cfg.frep_init)
-    cum_best, step_best, best_probes, davg_series, frep_series = [], [], [], [], []
-    fit_hist, pos_hist = [], []
-
-    def record_step() -> None:
-        cum_best.append(best_v)
-        step_best.append(float(fitness.max()))
-        best_probes.append(best_p)
-        davg_series.append(step.d_avg(positions, best_x, space))
-        frep_series.append(frep)
-        if keep_history:
-            fit_hist.append(fitness.copy())
-            pos_hist.append(positions.copy())
-
-    fitness = evaluate_all(positions, 0)
-    best_v, taker = _absorb_row(fitness, -math.inf)
-    best_p, best_step, best_x = taker + 1, 0, positions[taker].copy()
-    saved = np.full(cfg.n_saved, best_v)
-    record_step()
-
-    reason = "CompletedNt"
-    for j in range(1, int(cfg.n_steps) + 1):
-        raw = step.advance(positions, accelerations, cfg.delta_t, spare)
-        spare, positions = positions, step.retrieve(raw, positions, space, frep)
-        # retrieval ends with a clip to the box, so a coordinate outside it
-        # is a NaN, and np.maximum passes any NaN on
-        if math.isnan(np.maximum.reduce(positions, axis=None)):
-            raise InvariantError(f"probe escaped containment at step {j}")
-
-        fitness = evaluate_all(positions, j)
-        row_best, taker = _absorb_row(fitness, best_v)
-        if taker >= 0:
-            best_v, best_p, best_step, best_x = row_best, taker + 1, j, positions[taker].copy()
-            saved[(j - 1) % cfg.n_saved] = best_v
-        frep = update_frep(saved, frep, cfg)
-        accelerations = step.accelerations(positions, fitness, cfg, space)
-        if math.isnan(np.maximum.reduce(accelerations, axis=None)):
-            bad = np.flatnonzero(np.isnan(accelerations).any(axis=1))
-            raise EngineError(f"acceleration is NaN at step {j}, probe {bad[0] + 1}: "
-                              "a force term overflowed (check alpha and beta)")
-        record_step()
-
-        if cfg.early_termination and detect_fitness_saturation(step_best, j, cfg):
-            reason = "FitnessSaturated"
-            break
-
-    cum = np.asarray(cum_best)
-    sat = int(np.searchsorted(cum, cum[-1] - cfg.fitness_sat_tol, side="left"))
-
-    return RunRecord(
-        config=cfg.to_dict(),
-        bounds=space.bounds_list(),
-        best_fitness=cum_best,
-        step_best_fitness=step_best,
-        best_probe=best_probes,
-        d_avg=davg_series,
-        frep=frep_series,
-        n_eval=[(j + 1) * n_p for j in range(len(cum_best))],
-        best_point=best_x,
-        final_best_fitness=best_v,
-        final_best_probe=best_p,
-        final_best_step=best_step,
-        saturation_step=sat,
-        termination_reason=reason,
-        steps_executed=len(cum_best) - 1,
-        fitness_history=np.asarray(fit_hist) if keep_history else None,
-        positions_history=np.asarray(pos_hist) if keep_history else None,
-    )
+    outcome, = run_group([cfg], space, [objective], keep_history)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -246,6 +246,17 @@ def test_sweep_jobs_do_not_change_the_output(tmp_path, objective, sweep):
     assert trees[0] == trees[1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    doc = {"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 5},
+           "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 3},
+           "outputs": {"dir": str(out)}}
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--jobs", jobs]) == 2
+    assert f"config error: --jobs: need at least 1 thread, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_validation(tmp_path):
     doc = {
         "objective": "sgo",

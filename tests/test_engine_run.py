@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
-from cfobench import CfoConfig, DecisionSpace, EngineError, get_objective, run
+from cfobench import CfoConfig, DecisionSpace, EngineError, cli, get_objective, run
 from cfobench.acceptance import naive_engine_step
 from cfobench.engine import (
     advance_positions,
@@ -15,9 +17,10 @@ from cfobench.engine import (
     detect_fitness_saturation,
     init_probes,
     retrieve_errant_probes,
+    run_group,
     update_frep,
 )
-from cfobench.objectives import batch_form
+from cfobench.objectives import Objective, batch_form
 
 
 def quad_objective(x):
@@ -344,3 +347,178 @@ def test_run_with_coincident_probes_is_finite_and_repeatable():
     assert np.isfinite(a.positions_history).all() and np.isfinite(a.d_avg).all()
     # equal fitness and equal forces: the pair stays coincident every step
     assert np.array_equal(a.positions_history[:, 0], a.positions_history[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups: run_group() gives every run the bytes run() gives it alone
+
+
+def _outcome_bytes(outcome):
+    """A record's canonical bytes plus its histories' bytes, if kept."""
+    return (outcome.to_json(),
+            None if outcome.fitness_history is None else outcome.fitness_history.tobytes(),
+            None if outcome.positions_history is None else outcome.positions_history.tobytes())
+
+
+LOCKSTEP = {  # name: (objective id and noise options, shared cfo fields, swept field, values)
+    "gp_gamma": (("gp", {}), {"n_probes": 8, "n_steps": 60}, "gamma", np.linspace(0, 1, 11)),
+    "himmelblau_gamma": (("himmelblau", {}), {"n_probes": 8, "n_steps": 60}, "gamma",
+                         np.linspace(0, 1, 11)),
+    "parrott_f4_gamma": (("parrott_f4", {}), {"n_probes": 6, "n_steps": 60}, "gamma",
+                         np.linspace(0, 1, 11)),
+    "colville_gamma": (("colville", {}), {"n_probes": 16, "n_steps": 60}, "gamma",
+                       np.linspace(0, 1, 11)),
+    "schwefel_226_gamma": (("schwefel_226", {}), {"n_probes": 60, "n_steps": 12}, "gamma",
+                           np.linspace(0, 1, 3)),
+    "colville_forces_gamma": (("colville", {}), {"n_probes": 8, "n_steps": 100, "g": 5.0,
+                                                 "delta_t": 0.75, "alpha": 1.5, "beta": 3.0,
+                                                 "n_sat": 2}, "gamma", np.linspace(0, 1, 5)),
+    "gp_frep_init": (("gp", {}), {"n_probes": 8, "n_steps": 100}, "frep_init",
+                     np.linspace(0.1, 0.9, 5)),
+    # runs that stop at steps 60 to 173
+    "gp_early_termination": (("gp", {}), {"n_probes": 8, "n_steps": 200,
+                                          "early_termination": True}, "gamma",
+                             np.linspace(0, 1, 11)),
+    "gp_noisy_seed": (("gp", {"sigma": 0.5}), {"n_probes": 8, "n_steps": 60}, "seed",
+                      range(1, 12)),
+}
+
+
+@pytest.mark.parametrize("keep_history", [False, True])
+@pytest.mark.parametrize("name", sorted(LOCKSTEP))
+def test_a_group_gives_each_run_its_bytes_alone(name, keep_history):
+    (obj_id, noise), fields, swept, values = LOCKSTEP[name]
+
+    def objective(value):
+        if swept == "seed":
+            return get_objective(obj_id, noise=dict(noise, seed=int(value)))
+        return get_objective(obj_id)
+
+    space = objective(values[0]).bounds
+    cfgs = [CfoConfig(**fields, **({} if swept == "seed" else {swept: float(v)}))
+            for v in values]
+    alone = [run(cfg, space, objective(v), keep_history) for cfg, v in zip(cfgs, values)]
+    together = run_group(cfgs, space, [objective(v) for v in values], keep_history)
+    assert [_outcome_bytes(r) for r in together] == [_outcome_bytes(r) for r in alone]
+    assert len({r.to_json() for r in alone}) == len(alone)
+    if fields.get("early_termination"):
+        assert len({r.steps_executed for r in alone}) > 3
+
+
+def test_a_group_needs_one_probe_count_and_one_force_law():
+    gp = get_objective("gp")
+    for other in (CfoConfig(n_probes=6, n_steps=5), CfoConfig(n_probes=8, n_steps=5, g=3.0)):
+        with pytest.raises(ValueError, match="the runs must share"):
+            run_group([CfoConfig(n_probes=8, n_steps=5), other], gp.bounds, [gp, gp])
+
+
+def _sweep_spec(tmp_path, objective, cfo, sweep):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"objective": objective, "cfo": cfo, "sweep": sweep,
+                                "outputs": {"dir": str(tmp_path / "out")}}))
+    return cli.load_config(str(path))
+
+
+def _gamma_sweep(count):
+    return {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": count}
+
+
+def test_sweep_groups_follow_probe_count_size_threads_pair_budget_and_children(tmp_path):
+    def groups(objective, cfo, sweep, jobs=1):
+        spec = _sweep_spec(tmp_path, objective, cfo, sweep)
+        cfgs = [cli._sweep_run_config(spec, sweep["parameter"], v)
+                for v in cli._sweep_values(sweep)]
+        try:
+            return [(g.start, g.stop) for g in cli.sweep_groups(spec, cfgs, jobs)]
+        finally:
+            cli._close(spec.objective)
+
+    assert groups("gp", {"n_steps": 5}, _gamma_sweep(11)) == [(0, 11)]
+    assert groups("gp", {"n_steps": 5}, _gamma_sweep(20)) == [(0, cli.MAX_GROUP_RUNS),
+                                                              (cli.MAX_GROUP_RUNS, 20)]
+    # every thread gets a group
+    assert groups("gp", {"n_steps": 5}, _gamma_sweep(11), jobs=2) == [(0, 6), (6, 11)]
+    assert groups("gp", {"n_steps": 5}, _gamma_sweep(3), jobs=8) == [(0, 1), (1, 2), (2, 3)]
+    # 2, 2, 3, 4, 4, 4 and 5 probes
+    assert groups("parrott_f4", {"n_steps": 5},
+                  {"parameter": "n_probes", "start": 2, "stop": 5, "count": 7}) == [
+        (0, 2), (2, 3), (3, 6), (6, 7)]
+    # 120 probes in 30-D: one run's pairs exceed the budget
+    assert 120 * 120 * 30 > cli.GROUP_PAIR_BUDGET
+    assert groups("schwefel_226", {"n_steps": 5}, _gamma_sweep(3)) == [(0, 1), (1, 2), (2, 3)]
+    external = {"id": "external", "options": {
+        "command": [sys.executable, "-m", "cfobench.external", "quadratic"],
+        "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}}
+    assert groups(external, {"n_probes": 4, "n_steps": 5}, _gamma_sweep(3)) == [
+        (0, 1), (1, 2), (2, 3)]
+
+
+def test_runs_the_pair_budget_splits_keep_their_bytes(tmp_path):
+    spec = _sweep_spec(tmp_path, "schwefel_226", {"n_steps": 6}, _gamma_sweep(3))
+    records, _rows = cli.sweep_runs(spec, quiet=True)
+    obj = get_objective("schwefel_226")
+    for i, gamma in enumerate((0.0, 0.5, 1.0)):
+        alone = run(CfoConfig(n_probes=120, n_steps=6, gamma=gamma), obj.bounds, obj)
+        assert records[i].to_json() == alone.to_json()
+        assert (tmp_path / "out" / f"run_0{i + 1}" / "record.json").read_text() == (
+            alone.to_json() + "\n")
+
+
+def _breaking(objective: Objective, name: str, fail_at: dict, how: str) -> Objective:
+    """objective, failing at the step fail_at names (if any): raising, or
+    returning a NaN for its second probe."""
+
+    def evaluate_batch(rows, step=0):
+        values = objective.evaluate_batch(rows, step)
+        if step == fail_at.get(name):
+            if how == "raise":
+                raise ValueError(f"{name} broke")
+            values[1] = math.nan
+        return values
+
+    return Objective(id=objective.id, n_dims=objective.n_dims, bounds=objective.bounds,
+                     evaluate_batch=evaluate_batch)
+
+
+# run 2 fails at step 30 and run 4 at step 3: run 4 fails first in time, but
+# running the group one run at a time meets run 2's failure first
+FAIL_AT = {"run 2": 30, "run 4": 3}
+
+
+@pytest.mark.parametrize("how, message", [
+    ("raise", "objective failed at step 30: run 2 broke"),
+    ("nan", "non-finite fitness at step 30, probe 2"),
+])
+def test_a_group_reports_its_lowest_numbered_failure(how, message):
+    gp = get_objective("gp")
+    cfgs = [CfoConfig(n_probes=8, n_steps=60, gamma=g) for g in np.linspace(0, 1, 6)]
+    objectives = [_breaking(get_objective("gp"), f"run {i + 1}", FAIL_AT, how) for i in range(6)]
+    outcomes = run_group(cfgs, gp.bounds, objectives)
+    assert len(outcomes) == 2
+    assert outcomes[0].to_json() == run(cfgs[0], gp.bounds, gp).to_json()
+    assert isinstance(outcomes[1], EngineError) and message in str(outcomes[1])
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run(cfgs[1], gp.bounds, _breaking(get_objective("gp"), "run 2", FAIL_AT, how))
+
+
+def test_a_failed_sweep_writes_the_runs_before_it_and_closes_every_objective(
+        tmp_path, monkeypatch, capsys):
+    spec = _sweep_spec(tmp_path, "gp", {"n_probes": 8, "n_steps": 60}, _gamma_sweep(6))
+    built, closed = [], []
+
+    def get_breaking(obj_id, **options):
+        name = f"run {len(built) + 1}"
+        built.append(name)
+        obj = _breaking(get_objective(obj_id, **options), name, FAIL_AT, "raise")
+        obj.close = lambda: closed.append(name)
+        return obj
+
+    monkeypatch.setattr(cli, "get_objective", get_breaking)
+    with pytest.raises(EngineError, match="objective failed at step 30: run 2 broke"):
+        cli.sweep_runs(spec, quiet=True)
+    assert sorted(closed) == sorted(built) == [f"run {i}" for i in range(1, 7)]
+    out = tmp_path / "out"
+    gp = get_objective("gp")
+    assert (out / "run_01" / "record.json").read_text() == (
+        run(CfoConfig(n_probes=8, n_steps=60, gamma=0.0), gp.bounds, gp).to_json() + "\n")
+    assert sorted(p.name for p in out.iterdir()) == ["run_01"]

@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of record.json for nine short runs, of
-summary.csv and summary.txt for one sweep and one single run, and of every
+summary.csv and summary.txt for one sweep and one single run, of summary.csv
+and every record.json of two sweeps, and of every
 text file one short 2-D run writes with all its per-step outputs on, and
 of the ring's coupling matrix K, which every pbm3 power is read from.
 
@@ -65,6 +66,35 @@ SUMMARIES = {  # name: (command, config blocks, summary.csv SHA-256, summary.txt
 }
 
 
+SWEEPS = {  # name: (config blocks, summary.csv SHA-256, each run's record.json SHA-256)
+    # runs that stop at different steps, from 60 to 173
+    "gp_gamma_early": ({"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 200,
+                                                   "early_termination": True},
+                        "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 11}},
+                       "3666f4e958a3fb54dc5673ff903dec55243598fe866e0255fe5150d2cd3d56bd",
+                       ["35eef05d244be103c22f208a9689e91d21ab4df98acc3a15b7d84259e8097484",
+                        "34c57d8fe5afac64564fd15211faf3fedd12eb637c6840a716482f36905015f5",
+                        "3d47e90fe3ba9c3d4e45325290d8eb9847168261a393a765b9f7ff7061f0ec3a",
+                        "eb9168ea3a7b34d534ff5925a2a07267beca3892420d2960ef3a0c73e8c8676f",
+                        "62a64ceeb6efb31c29d6b2223e4e9acc24db93689b1425e1e0635efed2b75393",
+                        "11fd236cbb962f9a39ca23048ce33ca906c632d06f420097b49c0e4a1224da9d",
+                        "741141560e129ac4a4b3de8b1f0186efc1037731ae9b560d6a6c8c642b4e88de",
+                        "aac4814cec599a0974151e12c6cfbb9076e55b2cbddea3b30bda792e4d8d963d",
+                        "bb593d23707d1a837b8f3c3740be01396a342bd455ba5f966f039b07cbae7377",
+                        "dd0cf56d547e667277a726cd560e25ef26bd3711a902febb0033fe35c4a48376",
+                        "88137409efc97282a400b7795d860b14f86aff43cfd4a148ff922e15bef25aa6"]),
+    # each run owns its noise stream
+    "gp_noisy_seed": ({"objective": {"id": "gp", "options": {"noise": {"sigma": 0.5}}},
+                       "cfo": {"n_probes": 8, "n_steps": 60},
+                       "sweep": {"parameter": "seed", "start": 1, "stop": 4, "count": 4}},
+                      "043ef34dab0384dba428fcdffe0f080502b4f5e5064424f28deafed21c34c0e4",
+                      ["b90e4f02dc346682372ee3e65e3df1a6053ea81af1a5c5b2b587dd2c4336342f",
+                       "46f20ac4a69d09910fa311285131a3ae8979f71c9eb13bd6d1bf85f5643f096a",
+                       "5935efb146fe6e26baaf090bd948832d3ec7eb78393e4e003c487f7deb43a2c6",
+                       "dcd82d00ad0ed752350508f1349ab237103ac0a2793e0f4a308676acaef14d93"]),
+}
+
+
 TEXT_RUN = {"objective": "gp", "cfo": {"n_probes": 6, "n_steps": 4, "gamma": 0.4},
             "outputs": {"fitness": True, "davg": True, "best_probe": True,
                         "probe_snapshots": True, "trajectories": True}}
@@ -120,6 +150,20 @@ def test_summary_digests(tmp_path, name):
     assert main([command, "--config", str(config), "--quiet"]) == 0
     assert [hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in ("summary.csv", "summary.txt")] == [csv_digest, txt_digest]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_digests(tmp_path, name):
+    if _this_build() != BUILD:
+        pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
+    blocks, csv_digest, record_digests = SWEEPS[name]
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(blocks, outputs={"dir": str(out)})))
+    assert main(["sweep", "--config", str(config), "--quiet"]) == 0
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == csv_digest
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("run_*/record.json"))] == record_digests
 
 
 def test_text_output_digests(tmp_path):

@@ -21,7 +21,12 @@ and 22,500 requests, each far beyond what the pipes buffer), a 3-run
 threads (each run builds its own objective and power memo), a 4-run noisy
 `sgo` seed sweep on 2 threads (each run owns its noise stream), a 3-run
 `external` gamma sweep whose command is one shell-quoted string (each run
-splits it and starts its own child), and the history outputs the benchmark
+splits it and starts its own child), an 11-run `himmelblau` gamma sweep
+with early termination (its runs stop at different steps), a `gp`
+`frep_init` sweep, a 1-D `parrott_f4` `n_probes` sweep (runs of different
+shapes, some consecutive runs alike), an 11-run `colville` gamma sweep, a
+3-run 30-D `schwefel_226` gamma sweep at the default 120 probes, and the
+history outputs the benchmark
 leaves out (probe snapshots alone in 2-D and in 3-D, where none are
 written, snapshots and trajectories together in one 2-D in-process run, and
 a sweep with trajectories). `diff` compares the two output
@@ -92,6 +97,20 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
                                                           command=shlex.join(EXTERNAL["options"]["command"]))),
                               {"cfo": {"n_probes": 6, "n_steps": 30}, "outputs": {"trajectories": True},
                                "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
+    "himmelblau_early_sweep": ("himmelblau", {"cfo": {"n_probes": 8, "n_steps": 300, "early_termination": True},
+                                               "outputs": {"trajectories": True},
+                                               "sweep": {"parameter": "gamma", "start": 0, "stop": 1,
+                                                         "count": 11}}),
+    "gp_frep_init_sweep": ("gp", {"cfo": {"n_probes": 8, "n_steps": 100}, "outputs": {},
+                                  "sweep": {"parameter": "frep_init", "start": 0.1, "stop": 0.9, "count": 5}}),
+    # rounds to 2, 2, 3, 4, 4, 4, 5 probes
+    "parrott_n_probes_sweep": ("parrott_f4", {"cfo": {"n_steps": 80}, "outputs": {},
+                                              "sweep": {"parameter": "n_probes", "start": 2, "stop": 5,
+                                                        "count": 7}}),
+    "colville_sweep": ("colville", {"cfo": {"n_steps": 100}, "outputs": {},
+                                    "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 11}}),
+    "schwefel_226_sweep": ("schwefel_226", {"cfo": {"n_steps": 20}, "outputs": {},
+                                            "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
 }
 EXTRA_ORACLES = {  # name: (objective, resolution)
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
