@@ -278,8 +278,7 @@ class _Step:
     @staticmethod
     def advance(prev: np.ndarray, acc: np.ndarray, delta_t: float, out: np.ndarray) -> np.ndarray:
         np.multiply(acc, 0.5, out=out)
-        if delta_t != 1.0:  # a factor of 1 changes no bit
-            out *= delta_t ** 2
+        out *= delta_t ** 2
         out += prev
         return out
 
@@ -323,15 +322,14 @@ class _Step:
 
     def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace) -> list:
         """Each run's average probe distance from its reference point
-        (reference[r, 0] for run r), normalized by the diagonal; the final
-        division is Python's, which rounds as numpy's does."""
+        (reference[r, 0] for run r), normalized by the diagonal."""
         offsets, radii = self.offsets, self.radii
         np.subtract(pos, reference, out=offsets)
         offsets **= 2
         np.add.reduce(offsets, axis=2, out=radii)
         np.sqrt(radii, out=radii)
-        scale = space.diag_length * (radii.shape[1] - 1)
-        return [total / scale for total in np.add.reduce(radii, axis=1, out=self.totals).tolist()]
+        totals = np.add.reduce(radii, axis=1, out=self.totals)
+        return (totals / (space.diag_length * (radii.shape[1] - 1))).tolist()
 
 
 def compute_accelerations(
@@ -490,20 +488,18 @@ def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConf
 # the run loop
 
 
-def _absorb_row(row: list, best_v: float) -> tuple[float, int]:
+def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
     """Scan one step's fitnesses in probe order against the running best.
 
     Every value >= the best so far takes over, so ties go to the later
-    probe: the last to take over is the last probe whose value equals the
-    row's maximum, if that maximum is >= best_v, and the new best is that
-    probe's value (of either sign, where the maximum is a zero). Returns the
-    new best and the 0-based index of that probe, or -1 when none took over.
+    probe. Returns the new best and the 0-based index of the last probe
+    that took over, or -1 when none did.
     """
-    top = max(row)
-    if not top >= best_v:
-        return best_v, -1
-    taker = len(row) - 1 - row[::-1].index(top)
-    return row[taker], taker
+    taker = -1
+    for p, v in enumerate(row.tolist()):
+        if v >= best_v:
+            best_v, taker = v, p
+    return best_v, taker
 
 
 # the config fields the runs of one group share: the step arrays' shape and
@@ -515,18 +511,17 @@ class _Run:
     """One run of a lockstep group: its config and objective, and every value
     of it that the group's step arrays do not hold."""
 
-    __slots__ = ("index", "cfg", "keep_history", "batch", "n_p", "n_steps", "shape", "frep",
-                 "best_v", "best_p", "best_step", "row_max", "ring_last", "cum_best",
+    __slots__ = ("index", "cfg", "keep_history", "batch", "n_p", "n_steps", "frep",
+                 "best_v", "best_p", "best_step", "row_max", "cum_best",
                  "step_best", "best_probes", "davg", "freps", "fit_hist", "pos_hist")
 
     def __init__(self, index: int, cfg: CfoConfig, objective, keep_history: bool):
         self.index, self.cfg, self.keep_history = index, cfg, keep_history
         self.batch = batch_form(objective)
         self.n_p, self.n_steps = int(cfg.n_probes), int(cfg.n_steps)
-        self.shape = (self.n_p,)
         self.frep = float(cfg.frep_init)
         self.best_v, self.best_p, self.best_step = -math.inf, 0, 0
-        self.row_max = self.ring_last = -math.inf  # the step's best; the ring's last slot
+        self.row_max = -math.inf  # the step's best
         self.cum_best, self.step_best, self.best_probes, self.davg, self.freps = [], [], [], [], []
         self.fit_hist, self.pos_hist = [], []
 
@@ -540,45 +535,41 @@ class _Run:
             probe = getattr(exc, "failed_row", None)
             where = f"step {step}" if probe is None else f"step {step}, probe {probe}"
             raise EngineError(f"objective failed at {where}: {exc}") from exc
-        if values.shape != self.shape:
+        if values.shape != (self.n_p,):
             raise EngineError(f"objective gave shape {values.shape} at step {step}, "
                               f"not ({self.n_p},)")
-        row = values.tolist()
-        # a sum of finite values is finite unless it overflows, and then the
-        # scan finds nothing
-        if not math.isfinite(sum(row)):
+        if not np.isfinite(values).all():
             bad = np.flatnonzero(~np.isfinite(values))
-            if len(bad):
-                raise EngineError(f"objective returned non-finite fitness at step {step}, "
-                                  f"probe {bad[0] + 1}")
+            raise EngineError(f"objective returned non-finite fitness at step {step}, "
+                              f"probe {bad[0] + 1}")
         if self.keep_history:
-            self.fit_hist.append(row)
-        row_best, taker = _absorb_row(row, self.best_v)
-        # the maximum's bits are the row's unless it is a zero, whose sign
-        # numpy's maximum picks by its own rule
-        top = row[taker] if taker >= 0 else max(row)
-        self.row_max = top if top != 0.0 else float(np.maximum.reduce(values))
+            self.fit_hist.append(values.copy())
+        row_best, taker = _absorb_row(values, self.best_v)
+        self.row_max = float(values.max())
         if taker >= 0:
             self.best_v, self.best_p, self.best_step = row_best, taker + 1, step
         return values, taker
 
-    def record_step(self, step: int, davg: float, tail_sum: Optional[float]) -> Optional[str]:
-        """Update the repositioning factor from the sum of the ring's last
-        n_sat slots (from step 1 on), append the step's diagnostics, and
-        return the termination reason when the run ends at this step, else
-        None."""
+    def record_step(self, step: int, davg: float, last: Optional[float],
+                    tail_sum: Optional[float]) -> Optional[str]:
+        """Update the repositioning factor from the ring's last slot and the
+        sum of its last n_sat slots (from step 1 on), append the step's
+        diagnostics, and return the termination reason when the run ends at
+        this step, else None."""
         if step:
-            self.frep = _next_frep(self.frep, self.ring_last, tail_sum, self.cfg)
+            self.frep = _next_frep(self.frep, last, tail_sum, self.cfg)
         self.cum_best.append(self.best_v)
         self.step_best.append(self.row_max)
         self.best_probes.append(self.best_p)
         self.davg.append(davg)
         self.freps.append(self.frep)
-        if step == self.n_steps:
-            return "CompletedNt"
+        # saturation first: a run that saturates at its last step stops
+        # saturated (never at step 0, which is before any averaging window)
         if self.cfg.early_termination and detect_fitness_saturation(self.step_best, step,
                                                                     self.cfg):
             return "FitnessSaturated"
+        if step == self.n_steps:
+            return "CompletedNt"
         return None
 
     def record(self, space: DecisionSpace, best_x: np.ndarray, reason: str) -> RunRecord:
@@ -702,13 +693,10 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
             fitness[i] = values
             if taker >= 0:  # always at step 0, whose best fills the ring
                 best_x[i, 0] = positions[i, taker]
-                if not j:
-                    saved[i] = run.ring_last = run.best_v
+                if j:
+                    saved[i, (j - 1) % n_saved] = run.best_v
                 else:
-                    slot = (j - 1) % n_saved
-                    saved[i, slot] = run.best_v
-                    if slot == n_saved - 1:
-                        run.ring_last = run.best_v
+                    saved[i] = run.best_v
             if keep_history:
                 run.pos_hist.append(positions[i].copy())
         if cut <= active[-1].index:  # a run failed in the loop
@@ -731,14 +719,16 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
                     break
 
         davg = step.d_avg(positions, best_x, space)
-        # update_frep's tail sums for every ring, in one reduce
-        tails = np.add.reduce(tail, axis=1).tolist() if j else [None] * len(active)
+        # update_frep's inputs for every ring: its last slot, and the sum of
+        # its last n_sat slots in one reduce
+        if j:
+            lasts, tails = saved[:, n_saved - 1].tolist(), np.add.reduce(tail, axis=1).tolist()
+        else:
+            lasts = tails = [None] * len(active)
         done = []
-        for i, (run, run_davg, tail_sum) in enumerate(zip(active, davg, tails)):
-            frep_was = run.frep
-            reason = run.record_step(j, run_davg, tail_sum)
-            if run.frep != frep_was:
-                frep[i] = run.frep
+        for i, (run, run_davg, last, tail_sum) in enumerate(zip(active, davg, lasts, tails)):
+            reason = run.record_step(j, run_davg, last, tail_sum)
+            frep[i] = run.frep
             if reason is not None:
                 outcomes[run.index] = run.record(space, best_x[i, 0], reason)
                 done.append(i)

@@ -258,7 +258,8 @@ def replay(cfg, space, objective):
 def _replay_configs():
     """44 seeded (objective, config) pairs: 1 to 30 dimensions, 2 to 120
     probes, every init scheme, g, delta_t, alpha, beta, n_sat and frep_init
-    away from their defaults, and early termination."""
+    away from their defaults, and early termination; and a run that
+    saturates at its last step."""
     rng = np.random.default_rng(20261019)
     fixed = [("gp", {}), ("himmelblau", {}), ("colville", {}), ("parrott_f4", {})]
     cases = []
@@ -289,6 +290,9 @@ def _replay_configs():
         if i % 5 == 0:
             fields.update(n_steps=200, n_avg_steps=10, early_termination=True)
         cases.append((obj, CfoConfig(**fields)))
+    # the detector first fires at step 60, the run's last
+    cases.append((get_objective("gp"), CfoConfig(n_probes=8, n_steps=60, gamma=0.1,
+                                                 early_termination=True)))
     return cases
 
 

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of record.json for nine short runs, of
 summary.csv and summary.txt for one sweep and one single run, of summary.csv
-and every record.json of two sweeps, and of every
+and every record.json of three sweeps, and of every
 text file one short 2-D run writes with all its per-step outputs on, and
 of the ring's coupling matrix K, which every pbm3 power is read from.
 
@@ -83,6 +83,23 @@ SWEEPS = {  # name: (config blocks, summary.csv SHA-256, each run's record.json 
                         "bb593d23707d1a837b8f3c3740be01396a342bd455ba5f966f039b07cbae7377",
                         "dd0cf56d547e667277a726cd560e25ef26bd3711a902febb0033fe35c4a48376",
                         "88137409efc97282a400b7795d860b14f86aff43cfd4a148ff922e15bef25aa6"]),
+    # runs 2, 6, 9 and 10 saturate at their last step, and stop saturated
+    "gp_gamma_saturated_at_last": ({"objective": "gp", "cfo": {"n_probes": 8, "n_steps": 60,
+                                                             "early_termination": True},
+                                    "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0,
+                                              "count": 11}},
+                                   "54b09722b6664dd9e4f622ca3a8aced038d4ddf6b84f7e07dd4ab2df5fa4a9a2",
+                                   ["5bb88912c869ddfccbe4654d341b523fef6d08732930b85b4c9bc59e262f87f0",
+                                    "07d4ddad644e8c1040190963e3425f505fed64515d3d0fab7883314d1888e465",
+                                    "a3a68d9a6f6ee07e278e06e0c6968d5a7a6dd9f1cc69c85c0842ef23d38aea63",
+                                    "86a9a5d8ce3f6501cc73eb05646c04702fd2a4245b2d97e35024ae9026db5aab",
+                                    "0e9e0be2a524447b80866dc0e88ad34db76322a9b0464d7554a2391e83ed6b27",
+                                    "87aeb7f4143967bdb5a343fd2a8e19dceb4b95eecd29a81db69db4d0d6acba77",
+                                    "e0bdb9a51c6e0b739d6327099af0442f82820aa2c55ad1b85401a779ce736369",
+                                    "9cd4c013e59bfbb742bb96c9660696b2e1d7fdfe58d706cf4f269bd287f9f4ee",
+                                    "6a3f2e40057f962d2d628ede805ac7d5aede6fc559b340cc70c7590815fe65fc",
+                                    "b5a5dc2e64918db3891506db1155430c019f4dfbc1fd361459899d9f53c0e271",
+                                    "ae89efca9b37fdd96bc02b601fcc7a8c98a7539eab841ba323c8d919ba8ba01e"]),
     # each run owns its noise stream
     "gp_noisy_seed": ({"objective": {"id": "gp", "options": {"noise": {"sigma": 0.5}}},
                        "cfo": {"n_probes": 8, "n_steps": 60},
