@@ -77,9 +77,9 @@ DEFAULT_N_STEPS = 500
 DEFAULT_PROBES_PER_DIM = 4
 DEFAULT_MIN_PROBES = 6
 # sweep_groups' limits on a lockstep group: past 16 runs a run's share of a
-# gp step hardly falls, while every run keeps its objective alive; past 2^17
-# pair coordinates (1 MiB per pair array) a group was no faster than its
-# runs one at a time
+# gp step hardly falls, while a group of runs with their own objectives
+# (noisy ones) keeps them all alive; past 2^17 pair coordinates (1 MiB per
+# pair array) a group was no faster than its runs one at a time
 MAX_GROUP_RUNS = 16
 GROUP_PAIR_BUDGET = 1 << 17
 
@@ -481,12 +481,12 @@ def sweep_groups(spec: RunSpec, cfgs: List[CfoConfig], jobs: int = 1) -> List[ra
     """Cut a sweep's runs into the lockstep groups run_group() steps together.
 
     A group is consecutive runs with one probe count, at most
-    MAX_GROUP_RUNS of them (each keeps its objective alive until the group
-    ends) and at most a jobs-th of the sweep (rounded up), so each of jobs
-    threads has a group to take, with R * n_p^2 * n_d, the size of the
-    group's pair arrays, at most GROUP_PAIR_BUDGET unless the group is one
-    run. An objective that owns an external child gets one run per group,
-    so a sweep thread holds one child at a time.
+    MAX_GROUP_RUNS of them (runs with their own objectives keep them alive
+    until the group ends) and at most a jobs-th of the sweep (rounded up),
+    so each of jobs threads has a group to take, with R * n_p^2 * n_d, the
+    size of the group's pair arrays, at most GROUP_PAIR_BUDGET unless the
+    group is one run. An objective that owns an external child gets one run
+    per group, so a sweep thread holds one child at a time.
     """
     external = getattr(spec.objective, "close", None) is not None
     n_d = spec.space.n_dims
@@ -506,11 +506,15 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
     """Run the configured sweep; returns (records, summary rows).
 
     The runs go through run_group() in the groups sweep_groups() cuts, and
-    jobs threads take whole groups. Every run builds its own objective when
-    its group starts, and the group closes them all when it ends; the one
-    load_config built is closed first, which ends an external child. A
-    group writes its runs' files when it ends. A failed run's error is
-    raised after the files of the runs before it are written.
+    jobs threads take whole groups. A group builds its objectives when it
+    starts and closes them when it ends: one it shares among its runs when
+    the spec's objective has no noise and no close (a stateless one, so the
+    group evaluates all its rows in one call a step), else one per run, so
+    each run of a noisy sweep starts its own stream and each external run
+    its own child. The one load_config built is closed first, which ends an
+    external child. A group writes its runs' files when it ends. A failed
+    run's error is raised after the files of the runs before it are
+    written.
     """
     _close(spec.objective)
     if spec.sweep is None:
@@ -531,15 +535,20 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
     pad = max(2, len(str(len(values))))
     keep_history = _writes_history(spec.emit, spec.space.n_dims)
 
+    # a stateless objective: one serves a whole group
+    shared = (getattr(spec.objective, "noise", None) is None
+              and getattr(spec.objective, "close", None) is None)
+
     def one_group(runs: range) -> List[RunRecord]:
-        objectives = []
+        built = []
         try:
-            for i in runs:
-                objectives.append(get_objective(spec.objective_id, **_with_noise_seed(
+            for i in runs[:1] if shared else runs:
+                built.append(get_objective(spec.objective_id, **_with_noise_seed(
                     spec.objective_options, values[i] if parameter == "seed" else None)))
+            objectives = built * len(runs) if shared else built
             outcomes = run_group([cfgs[i] for i in runs], spec.space, objectives, keep_history)
         finally:
-            for objective in objectives:
+            for objective in built:
                 _close(objective)
         for i, outcome in zip(runs, outcomes):
             if isinstance(outcome, Exception):

@@ -6,19 +6,22 @@ with the fitness gap and decays with distance. run() is one loop, the
 one-run case of run_group(), which steps a group of runs in lockstep over
 one set of step arrays with a leading run axis (_Step): move the probes by
 the half-a-t-squared kinematic update, pull probes that left the box back
-inside by the repositioning factor, evaluate them (each run's objective
-with its own rows), update the running best, the saved-best ring and the
-repositioning factor, then compute the next accelerations. Each numpy call
-of the step serves the whole group, and each run's record is the bytes it
-gets alone. A fitness saturation detector diagnoses convergence. Every run
-starts at zero acceleration, and with a fixed noise seed the whole
-trajectory is a pure function of the inputs.
+inside by the repositioning factor, evaluate them (one call on the whole
+group's rows when the runs share one stateless objective, else each run's
+objective with its own rows), fold the values into the running bests, the
+saved-best rings and the repositioning factors in group arrays, then
+compute the next accelerations. Each numpy call of the step serves the
+whole group, and each run's record is the bytes it gets alone. A fitness
+saturation detector diagnoses convergence. Every run starts at zero
+acceleration, and with a fixed noise seed the whole trajectory is a pure
+function of the inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, get_type_hints
 
@@ -320,16 +323,17 @@ class _Step:
         self.flat_acc *= float(cfg.g)
         return self.acc
 
-    def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace) -> list:
+    def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace,
+              out: np.ndarray) -> np.ndarray:
         """Each run's average probe distance from its reference point
-        (reference[r, 0] for run r), normalized by the diagonal."""
+        (reference[r, 0] for run r), normalized by the diagonal, into out."""
         offsets, radii = self.offsets, self.radii
         np.subtract(pos, reference, out=offsets)
         offsets **= 2
         np.add.reduce(offsets, axis=2, out=radii)
         np.sqrt(radii, out=radii)
         totals = np.add.reduce(radii, axis=1, out=self.totals)
-        return (totals / (space.diag_length * (radii.shape[1] - 1))).tolist()
+        return np.divide(totals, space.diag_length * (radii.shape[1] - 1), out=out)
 
 
 def compute_accelerations(
@@ -382,18 +386,24 @@ def update_frep(saved_best: np.ndarray, frep_current: float, cfg: CfoConfig) -> 
     reaching 1 wraps back to frep_init. The mean is tail.mean()'s own
     arithmetic, np.add.reduce(tail) / len(tail), without its Python wrapper.
     """
-    tail = saved_best[cfg.n_saved - cfg.n_sat:]
-    return _next_frep(frep_current, float(saved_best[cfg.n_saved - 1]),
-                      float(np.add.reduce(tail)), cfg)
+    frep = np.array([frep_current], dtype=float)
+    _next_frep(frep, np.asarray(saved_best, dtype=float)[None], cfg.n_sat,
+               np.array([[cfg.frep_init, cfg.frep_increment, cfg.fit_tol]]))
+    return float(frep[0])
 
 
-def _next_frep(frep: float, last: float, tail_sum: float, cfg: CfoConfig) -> float:
-    """update_frep's rule, given the ring's last slot and the sum of its
-    last n_sat slots (a Python float divides as numpy's float64 does)."""
-    if abs(last - tail_sum / cfg.n_sat) <= cfg.fit_tol:
-        nxt = frep + cfg.frep_increment
-        return cfg.frep_init if nxt >= 1.0 else nxt
-    return frep
+def _next_frep(frep: np.ndarray, saved: np.ndarray, n_sat: int, rule: np.ndarray) -> bool:
+    """update_frep's rule for a group of runs, in place: run r's factor
+    frep[r] steps by its ring saved[r], with rule[r] holding its frep_init,
+    frep_increment and fit_tol. Returns whether any ring had flattened."""
+    mean = np.add.reduce(saved[:, saved.shape[1] - n_sat:], axis=1) / n_sat
+    flat = np.abs(saved[:, -1] - mean) <= rule[:, 2]
+    if not flat.any():
+        return False
+    nxt = frep + rule[:, 1]
+    np.copyto(nxt, rule[:, 0], where=nxt >= 1.0)
+    np.copyto(frep, nxt, where=flat)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +478,7 @@ def d_avg(positions: np.ndarray, reference: np.ndarray, space: DecisionSpace) ->
     if n_p < 2:
         raise ValueError("spread diagnostic needs at least 2 probes")
     ref = np.asarray(reference, dtype=float)
-    return _Step(1, *pos.shape).d_avg(pos[None], ref[None, None], space)[0]
+    return float(_Step(1, *pos.shape).d_avg(pos[None], ref[None, None], space, np.empty(1))[0])
 
 
 def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConfig) -> bool:
@@ -488,47 +498,33 @@ def detect_fitness_saturation(best_series: Sequence[float], j: int, cfg: CfoConf
 # the run loop
 
 
-def _absorb_row(row: np.ndarray, best_v: float) -> tuple[float, int]:
-    """Scan one step's fitnesses in probe order against the running best.
-
-    Every value >= the best so far takes over, so ties go to the later
-    probe. Returns the new best and the 0-based index of the last probe
-    that took over, or -1 when none did.
-    """
-    taker = -1
-    for p, v in enumerate(row.tolist()):
-        if v >= best_v:
-            best_v, taker = v, p
-    return best_v, taker
-
-
 # the config fields the runs of one group share: the step arrays' shape and
 # the constants of their arithmetic, and the shape of the saved-best rings
 _GROUP_FIELDS = ("n_probes", "g", "delta_t", "alpha", "beta", "n_saved", "n_sat")
 
+# the rows of a group's (runs, rows, steps) series array: the running best,
+# the step's best, the 1-based probe that took over the best at the step (0
+# when none did), the spread and the repositioning factor
+_BEST, _STEP_BEST, _TAKER, _DAVG, _FREP = range(5)
+
 
 class _Run:
-    """One run of a lockstep group: its config and objective, and every value
-    of it that the group's step arrays do not hold."""
+    """One run of a lockstep group: its config and objective, and the
+    histories it keeps on request; the group's arrays hold everything else."""
 
-    __slots__ = ("index", "cfg", "keep_history", "batch", "n_p", "n_steps", "frep",
-                 "best_v", "best_p", "best_step", "row_max", "cum_best",
-                 "step_best", "best_probes", "davg", "freps", "fit_hist", "pos_hist")
+    __slots__ = ("index", "cfg", "keep_history", "batch", "n_p", "n_steps", "fit_hist",
+                 "pos_hist")
 
     def __init__(self, index: int, cfg: CfoConfig, objective, keep_history: bool):
         self.index, self.cfg, self.keep_history = index, cfg, keep_history
         self.batch = batch_form(objective)
         self.n_p, self.n_steps = int(cfg.n_probes), int(cfg.n_steps)
-        self.frep = float(cfg.frep_init)
-        self.best_v, self.best_p, self.best_step = -math.inf, 0, 0
-        self.row_max = -math.inf  # the step's best
-        self.cum_best, self.step_best, self.best_probes, self.davg, self.freps = [], [], [], [], []
         self.fit_hist, self.pos_hist = [], []
 
-    def evaluate(self, rows: np.ndarray, step: int) -> tuple[np.ndarray, int]:
-        """Evaluate the run's rows and fold the values into the running best
-        and the step's best value; returns the values and the 0-based probe
-        that took over the best, or -1."""
+    def evaluate(self, rows: np.ndarray, step: int) -> np.ndarray:
+        """The run's objective on its own rows: one value per row, or an
+        EngineError naming the step (and the probe, when the objective names
+        its row) or the wrong shape."""
         try:
             values = np.asarray(self.batch(rows, step=step), dtype=float)
         except Exception as exc:
@@ -538,60 +534,33 @@ class _Run:
         if values.shape != (self.n_p,):
             raise EngineError(f"objective gave shape {values.shape} at step {step}, "
                               f"not ({self.n_p},)")
-        if not np.isfinite(values).all():
-            bad = np.flatnonzero(~np.isfinite(values))
-            raise EngineError(f"objective returned non-finite fitness at step {step}, "
-                              f"probe {bad[0] + 1}")
-        if self.keep_history:
-            self.fit_hist.append(values.copy())
-        row_best, taker = _absorb_row(values, self.best_v)
-        self.row_max = float(values.max())
-        if taker >= 0:
-            self.best_v, self.best_p, self.best_step = row_best, taker + 1, step
-        return values, taker
+        return values
 
-    def record_step(self, step: int, davg: float, last: Optional[float],
-                    tail_sum: Optional[float]) -> Optional[str]:
-        """Update the repositioning factor from the ring's last slot and the
-        sum of its last n_sat slots (from step 1 on), append the step's
-        diagnostics, and return the termination reason when the run ends at
-        this step, else None."""
-        if step:
-            self.frep = _next_frep(self.frep, last, tail_sum, self.cfg)
-        self.cum_best.append(self.best_v)
-        self.step_best.append(self.row_max)
-        self.best_probes.append(self.best_p)
-        self.davg.append(davg)
-        self.freps.append(self.frep)
-        # saturation first: a run that saturates at its last step stops
-        # saturated (never at step 0, which is before any averaging window)
-        if self.cfg.early_termination and detect_fitness_saturation(self.step_best, step,
-                                                                    self.cfg):
-            return "FitnessSaturated"
-        if step == self.n_steps:
-            return "CompletedNt"
-        return None
-
-    def record(self, space: DecisionSpace, best_x: np.ndarray, reason: str) -> RunRecord:
-        cfg, cum_best = self.cfg, self.cum_best
-        cum = np.asarray(cum_best)
+    def record(self, space: DecisionSpace, series: np.ndarray, best_x: np.ndarray,
+               reason: str) -> RunRecord:
+        """The run's record, from its rows of the group's series array up to
+        its last step."""
+        cfg, cum, taker = self.cfg, series[_BEST], series[_TAKER]
         sat = int(np.searchsorted(cum, cum[-1] - cfg.fitness_sat_tol, side="left"))
+        # the step at which the best last moved, at each step (step 0 always moves it)
+        last_move = np.maximum.accumulate(np.where(taker > 0, np.arange(len(taker)), 0))
+        best_probe = taker[last_move].astype(int).tolist()
         return RunRecord(
             config=cfg.to_dict(),
             bounds=space.bounds_list(),
-            best_fitness=cum_best,
-            step_best_fitness=self.step_best,
-            best_probe=self.best_probes,
-            d_avg=self.davg,
-            frep=self.freps,
-            n_eval=[(j + 1) * self.n_p for j in range(len(cum_best))],
+            best_fitness=cum.tolist(),
+            step_best_fitness=series[_STEP_BEST].tolist(),
+            best_probe=best_probe,
+            d_avg=series[_DAVG].tolist(),
+            frep=series[_FREP].tolist(),
+            n_eval=[(j + 1) * self.n_p for j in range(len(cum))],
             best_point=best_x.copy(),
-            final_best_fitness=self.best_v,
-            final_best_probe=self.best_p,
-            final_best_step=self.best_step,
+            final_best_fitness=float(cum[-1]),
+            final_best_probe=best_probe[-1],
+            final_best_step=int(last_move[-1]),
             saturation_step=sat,
             termination_reason=reason,
-            steps_executed=len(cum_best) - 1,
+            steps_executed=len(cum) - 1,
             fitness_history=np.asarray(self.fit_hist) if self.keep_history else None,
             positions_history=np.asarray(self.pos_hist) if self.keep_history else None,
         )
@@ -607,10 +576,20 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
     differ, gamma and frep_init being what sweeps vary. Every step array
     leads with a run axis, so each numpy call of the step serves the whole
     group, while each run keeps its own fitnesses, running best, saved-best
-    ring, repositioning factor, series, history and objective. Each step
-    calls the objectives in run order, each once with only its own run's
-    rows. A run that finishes (at n_steps, or saturated under
-    early_termination) leaves the group.
+    ring, repositioning factor, series and history. A run that finishes (at
+    n_steps, or saturated under early_termination) leaves the group.
+
+    When every run of a group of several holds the same objective object,
+    each step makes one call on all the group's rows, run r's probes being
+    rows [r * n_probes, (r + 1) * n_probes). Sharing an object asserts that
+    the objective is stateless, so one that has a noise state or a close
+    may not be shared (ValueError): a run failing mid-step would shift the
+    stream the runs before it read next. Otherwise, and when the shared
+    call raises or gives the wrong shape, each step calls the objectives in
+    run order, each once with only its own run's rows, so a failure is
+    charged to its run. Every run's values are then folded into the running
+    bests in group arrays: a value >= the run's best so far takes over,
+    ties going to the later probe.
 
     Returns one outcome per run, in run order, up to the lowest-numbered
     run that failed: a RunRecord, or for that run (the last item) the
@@ -629,23 +608,37 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
                 raise ValueError(f"run_group: the runs must share {name}")
     if len(objectives) != len(cfgs):
         raise ValueError("run_group: need one objective per config")
-    n_p, n_d, n_saved = int(lead.n_probes), space.n_dims, lead.n_saved
+    holders = Counter(map(id, objectives))
+    for obj in objectives:
+        if holders[id(obj)] > 1 and (getattr(obj, "noise", None) is not None
+                                     or getattr(obj, "close", None) is not None):
+            raise ValueError("run_group: runs may share only a stateless objective, "
+                             "one with no noise state and no close")
+    n_r, n_p, n_d, n_saved = len(cfgs), int(lead.n_probes), space.n_dims, lead.n_saved
     active = [_Run(i, cfg, obj, keep_history)
               for i, (cfg, obj) in enumerate(zip(cfgs, objectives))]
+    stacked = active[0].batch if n_r > 1 and holders[id(objectives[0])] == n_r else None
     outcomes: dict = {}
-    cut = len(cfgs)  # the lowest-numbered failed run so far, or the run count
+    cut = n_r  # the lowest-numbered failed run so far, or the run count
 
     positions = np.array([init_probes(cfg.init_scheme, space, cfg) for cfg in cfgs])
     accelerations = np.zeros_like(positions)
-    best_x = np.empty((len(cfgs), 1, n_d))  # each run's best point, at [r, 0]
+    # [r, 0] is run r's best so far and [r, 1:] its step's values, so the
+    # last maximum of a row is where a scan in probe order ends
+    scan = np.full((n_r, n_p + 1), -math.inf)
+    fitness = scan[:, 1:]
+    best_x = np.empty((n_r, 1, n_d))  # each run's best point, at [r, 0]
+    saved = np.empty((n_r, n_saved))  # each run's saved-best ring
+    # each run's frep_init, frep_increment and fit_tol
+    rule = np.array([[cfg.frep_init, cfg.frep_increment, cfg.fit_tol] for cfg in cfgs])
+    series = np.empty((n_r, 5, max(run.n_steps for run in active) + 1))
+    series[:, _FREP, 0] = rule[:, 0]
+    # each run's repositioning factor in all its coordinates
     frep = np.empty_like(positions)
-    for i, run in enumerate(active):
-        frep[i] = run.frep
-    saved = np.empty((len(cfgs), n_saved))  # each run's saved-best ring
-    tail = saved[:, n_saved - lead.n_sat:]
-    fitness = np.empty((len(cfgs), n_p))
-    step = _Step(len(cfgs), n_p, n_d)
+    frep[:] = rule[:, 0, None, None]
+    step = _Step(n_r, n_p, n_d)
     spare = np.empty_like(positions)
+    run_axis = np.arange(n_r)
 
     def fail(run: _Run, exc: Exception) -> None:
         nonlocal cut
@@ -655,13 +648,16 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
 
     def keep(rows: list) -> None:
         """Shrink the group to the active runs at rows."""
-        nonlocal active, positions, accelerations, best_x, frep, saved, tail, fitness, step, spare
+        nonlocal active, positions, accelerations, scan, fitness, best_x, saved, rule, series
+        nonlocal frep, step, spare, run_axis
         active = [active[i] for i in rows]
-        positions, accelerations = positions[rows], accelerations[rows]
-        best_x, frep, saved, fitness = best_x[rows], frep[rows], saved[rows], fitness[rows]
-        tail = saved[:, n_saved - lead.n_sat:]
+        positions, accelerations, scan = positions[rows], accelerations[rows], scan[rows]
+        best_x, saved, rule, series, frep = (best_x[rows], saved[rows], rule[rows], series[rows],
+                                             frep[rows])
+        fitness = scan[:, 1:]
         step = _Step(len(active), n_p, n_d)
         spare = np.empty_like(positions)
+        run_axis = np.arange(len(active))
 
     def keep_unfailed() -> None:
         keep([i for i, run in enumerate(active) if run.index < cut])
@@ -681,28 +677,57 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
                 if not active:
                     break
 
-        # each objective gets its run's rows of one copy of the positions;
-        # a run's values are folded in as they come, since a run that fails
-        # later in the step leaves the group with all it holds
-        for i, (run, x) in enumerate(zip(active, positions.copy())):
+        # the objectives get a copy of the positions; a shared objective's
+        # failed call is made again one run at a time, which charges the
+        # failure to its run (a shared objective is stateless)
+        values = None
+        if stacked is not None:
             try:
-                values, taker = run.evaluate(x, j)
-            except EngineError as exc:
-                fail(run, exc)
-                break
-            fitness[i] = values
-            if taker >= 0:  # always at step 0, whose best fills the ring
-                best_x[i, 0] = positions[i, taker]
-                if j:
-                    saved[i, (j - 1) % n_saved] = run.best_v
-                else:
-                    saved[i] = run.best_v
-            if keep_history:
-                run.pos_hist.append(positions[i].copy())
-        if cut <= active[-1].index:  # a run failed in the loop
+                values = np.asarray(stacked(positions.reshape(-1, n_d).copy(), step=j),
+                                    dtype=float)
+            except Exception:
+                pass
+        if values is not None and values.shape == (fitness.size,):
+            fitness[:] = values.reshape(fitness.shape)
+        else:
+            for i, (run, x) in enumerate(zip(active, positions.copy())):
+                try:
+                    fitness[i] = run.evaluate(x, j)
+                except EngineError as exc:
+                    fail(run, exc)
+                    break
+            if cut <= active[-1].index:  # a run failed in the loop
+                keep_unfailed()
+                if not active:
+                    break
+        finite = np.isfinite(fitness)
+        if not finite.all():
+            bad = int(np.argmin(finite))  # in run order, then probe order
+            fail(active[bad // n_p], EngineError(
+                f"objective returned non-finite fitness at step {j}, probe {bad % n_p + 1}"))
             keep_unfailed()
             if not active:
                 break
+        if keep_history:
+            for run, row, x in zip(active, fitness, positions):
+                run.fit_hist.append(row.copy())
+                run.pos_hist.append(x.copy())
+
+        # fold the step into the running bests: the last maximum of each
+        # scan row is where a scan in probe order, taking every value >= the
+        # best so far (ties to the later probe), ends; the best becomes the
+        # value there, whose zero may be signed
+        np.maximum.reduce(fitness, axis=1, out=series[:, _STEP_BEST, j])
+        taker = n_p - scan[:, ::-1].argmax(axis=1)  # 1-based, 0 where the best stays
+        scan[:, 0] = scan[run_axis, taker]
+        took = taker > 0  # every run at step 0, whose best fills the ring
+        np.copyto(best_x[:, 0], positions[run_axis, taker - 1], where=took[:, None])
+        if j:
+            np.copyto(saved[:, (j - 1) % n_saved], scan[:, 0], where=took)
+        else:
+            saved[:] = scan[:, :1]
+        series[:, _BEST, j] = scan[:, 0]
+        series[:, _TAKER, j] = taker
 
         if j:
             accelerations = step.accelerations(positions, fitness, lead, space)
@@ -718,27 +743,33 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
                 if not active:
                     break
 
-        davg = step.d_avg(positions, best_x, space)
-        # update_frep's inputs for every ring: its last slot, and the sum of
-        # its last n_sat slots in one reduce
+        step.d_avg(positions, best_x, space, series[:, _DAVG, j])
         if j:
-            lasts, tails = saved[:, n_saved - 1].tolist(), np.add.reduce(tail, axis=1).tolist()
-        else:
-            lasts = tails = [None] * len(active)
+            now = series[:, _FREP, j]
+            now[:] = series[:, _FREP, j - 1]
+            if _next_frep(now, saved, lead.n_sat, rule):
+                frep[:] = now[:, None, None]
+
         done = []
-        for i, (run, run_davg, last, tail_sum) in enumerate(zip(active, davg, lasts, tails)):
-            reason = run.record_step(j, run_davg, last, tail_sum)
-            frep[i] = run.frep
-            if reason is not None:
-                outcomes[run.index] = run.record(space, best_x[i, 0], reason)
-                done.append(i)
+        for i, run in enumerate(active):
+            # saturation first: a run that saturates at its last step stops
+            # saturated (never at step 0, which is before any averaging window)
+            if run.cfg.early_termination and detect_fitness_saturation(
+                    series[i, _STEP_BEST], j, run.cfg):
+                reason = "FitnessSaturated"
+            elif j == run.n_steps:
+                reason = "CompletedNt"
+            else:
+                continue
+            outcomes[run.index] = run.record(space, series[i, :, :j + 1], best_x[i, 0], reason)
+            done.append(i)
         if done:
             if len(done) == len(active):
                 break
             keep([i for i in range(len(active)) if i not in done])
         j += 1
 
-    return [outcomes[i] for i in range(min(cut + 1, len(cfgs)))]
+    return [outcomes[i] for i in range(min(cut + 1, n_r))]
 
 
 def run(cfg: CfoConfig, space: DecisionSpace, objective,

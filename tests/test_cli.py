@@ -232,7 +232,7 @@ def test_sweep_summary(tmp_path, capsys):
      {"parameter": "seed", "start": 1, "stop": 4, "count": 4}),
 ])
 def test_sweep_jobs_do_not_change_the_output(tmp_path, objective, sweep):
-    # each run builds its own objective, so the threads share no power memo
+    # each group builds its own objective, so the threads share no power memo
     trees = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"

@@ -3,15 +3,21 @@
 Every drawn run must keep its probes inside the box after retrieval, report
 a nondecreasing running best, make exactly (steps+1)*n_probes objective
 calls (counted, not derived), and keep the repositioning factor in (0, 1].
-The example set is fixed (derandomize) so the test is deterministic.
+Any cut of one gamma sweep into lockstep groups, each sharing one objective,
+must give every run the bytes it gets alone. The example sets are fixed
+(derandomize) so the tests are deterministic.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfobench import CfoConfig, get_objective, run
+from cfobench.engine import run_group
 
 FUNCTIONS = ("gp", "himmelblau", "sgo", "step", "colville", "parrott_f4", "griewank")
 
@@ -51,3 +57,23 @@ def test_engine_invariants(func_id, per_axis, n_steps, gamma, g, frep_init,
     assert all(a <= b for a, b in zip(best, best[1:]))
     assert calls == record.n_eval[-1] == (record.steps_executed + 1) * cfg.n_probes
     assert all(0.0 < f <= 1.0 for f in record.frep)
+
+
+SWEEP = [CfoConfig(n_probes=8, n_steps=30, gamma=float(g)) for g in np.linspace(0, 1, 11)]
+
+
+@lru_cache(maxsize=None)
+def _sweep_alone() -> tuple:
+    gp = get_objective("gp")
+    return tuple(run(cfg, gp.bounds, gp).to_json() for cfg in SWEEP)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(cuts=st.sets(st.integers(1, len(SWEEP) - 1)))
+def test_group_cuts_do_not_change_a_sweeps_records(cuts):
+    ends = [0, *sorted(cuts), len(SWEEP)]
+    records = []
+    for start, stop in zip(ends, ends[1:]):
+        gp = get_objective("gp")
+        records += run_group(SWEEP[start:stop], gp.bounds, [gp] * (stop - start))
+    assert tuple(r.to_json() for r in records) == _sweep_alone()

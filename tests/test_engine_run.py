@@ -213,8 +213,8 @@ def test_batch_of_the_wrong_shape_is_refused():
 
 def replay(cfg, space, objective):
     """run()'s loop rebuilt from the public step functions, with the running
-    best kept by _absorb_row's rule: scanning probes in order, every value
-    >= the best so far takes over."""
+    best kept by a scan of its own, independent of the engine's array fold:
+    scanning probes in order, every value >= the best so far takes over."""
     batch = batch_form(objective)
     positions = init_probes(cfg.init_scheme, space, cfg)
     acc = np.zeros_like(positions)
@@ -293,7 +293,24 @@ def _replay_configs():
     # the detector first fires at step 60, the run's last
     cases.append((get_objective("gp"), CfoConfig(n_probes=8, n_steps=60, gamma=0.1,
                                                  early_termination=True)))
+    cases.append((SIGNED_ZEROS, CfoConfig(n_probes=8, n_steps=40, init_scheme="off_diagonal")))
     return cases
+
+
+def _signed_zero_rows(rows):
+    """-floor(2 |x1|), whose plateau |x1| < 1/2 holds 0.0 or -0.0 by the
+    sign of sin(11 (x1 + x2)): a step's best is a tie of both zeros."""
+    level = -np.floor(2.0 * np.abs(rows[:, 0]))
+    return np.where(level == 0.0, np.copysign(0.0, np.sin(11.0 * rows.sum(axis=1))), level)
+
+
+SIGNED_ZEROS = Objective(id="signed_zeros", n_dims=2, bounds=UNIT_BOX,
+                         evaluate_batch=lambda rows, step=0: _signed_zero_rows(rows))
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes of values: unlike ==, they tell 0.0 from -0.0."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def test_run_equals_a_replay_of_the_public_step_functions():
@@ -304,16 +321,25 @@ def test_run_equals_a_replay_of_the_public_step_functions():
         series, fits, points, final = replay(cfg, obj.bounds, obj)
         for name, values in series.items():
             assert getattr(rec, name) == values, (obj.id, cfg, name)
+            assert _bits(getattr(rec, name)) == _bits(values), (obj.id, cfg, name)
         # both histories to the bit
         assert rec.fitness_history.tobytes() == fits.tobytes()
         assert rec.positions_history.tobytes() == points.tobytes()
         assert (rec.final_best_fitness, rec.final_best_probe, rec.final_best_step,
                 rec.best_point.tolist(), rec.termination_reason) == final
+        assert _bits(rec.final_best_fitness) == _bits(final[0])
         reasons.add(rec.termination_reason)
         dims.add(obj.bounds.n_dims)
         probes.add(cfg.n_probes)
     assert len(cases) >= 40
     assert reasons == {"CompletedNt", "FitnessSaturated"}
+    # the signed-zero case: steps whose best is a tie of 0.0 and -0.0, and a
+    # running best that changes sign
+    rec = run(cases[-1][1], UNIT_BOX, SIGNED_ZEROS, keep_history=True)
+    zero, negative = rec.fitness_history == 0.0, np.signbit(rec.fitness_history)
+    assert (rec.fitness_history.max(axis=1) == 0.0).all()
+    assert ((zero & negative).any(axis=1) & (zero & ~negative).any(axis=1)).all()
+    assert {bool(np.signbit(v)) for v in rec.best_fitness} == {False, True}
     assert min(dims) == 1 and max(dims) == 30 and min(probes) == 2 and max(probes) == 120
 
 
@@ -409,6 +435,54 @@ def test_a_group_gives_each_run_its_bytes_alone(name, keep_history):
         assert len({r.steps_executed for r in alone}) > 3
 
 
+@pytest.mark.parametrize("keep_history", [False, True])
+@pytest.mark.parametrize("name", sorted(name for name in LOCKSTEP if LOCKSTEP[name][2] != "seed"))
+def test_a_group_sharing_one_objective_gives_each_run_its_bytes_alone(name, keep_history):
+    (obj_id, _noise), fields, swept, values = LOCKSTEP[name]
+    obj = get_objective(obj_id)
+    calls = []
+
+    class Counted:
+        def evaluate_batch(self, rows, step=0):
+            calls.append(len(rows))
+            return obj.evaluate_batch(rows, step)
+
+    cfgs = [CfoConfig(**fields, **{swept: float(v)}) for v in values]
+    alone = [run(cfg, obj.bounds, obj, keep_history) for cfg in cfgs]
+    shared = Counted()
+    together = run_group(cfgs, obj.bounds, [shared] * len(cfgs), keep_history)
+    assert [_outcome_bytes(r) for r in together] == [_outcome_bytes(r) for r in alone]
+    # one call a step, on the rows of every run still in the group
+    steps = [r.steps_executed for r in alone]
+    assert calls == [fields["n_probes"] * sum(s >= j for s in steps)
+                     for j in range(max(steps) + 1)]
+
+
+def test_a_shared_objective_must_be_stateless():
+    gp = get_objective("gp")
+    cfgs = [CfoConfig(n_probes=8, n_steps=5, gamma=g) for g in (0.2, 0.8)]
+    noisy = get_objective("gp", noise={"seed": 3})
+    closing = Objective(id="gp", n_dims=2, bounds=gp.bounds, evaluate_batch=gp.evaluate_batch,
+                        close=lambda: None)
+    for shared in (noisy, closing):
+        with pytest.raises(ValueError, match="share only a stateless objective"):
+            run_group(cfgs + cfgs[:1], gp.bounds, [gp, shared, shared])
+        # one run each: nothing is shared
+        assert len(run_group(cfgs, gp.bounds, [shared, gp])) == 2
+
+
+def test_a_shared_batch_of_the_wrong_shape_is_charged_to_the_first_run():
+    class Short:
+        def evaluate_batch(self, rows, step=0):
+            return np.zeros(len(rows) - 1)
+
+    cfgs = [CfoConfig(n_probes=4, n_steps=2, gamma=g) for g in (0.2, 0.5, 0.8)]
+    short = Short()
+    outcome, = run_group(cfgs, UNIT_BOX, [short] * 3)
+    assert isinstance(outcome, EngineError)
+    assert re.search(r"shape \(3,\) at step 0, not \(4,\)", str(outcome))
+
+
 def test_a_group_needs_one_probe_count_and_one_force_law():
     gp = get_objective("gp")
     for other in (CfoConfig(n_probes=6, n_steps=5), CfoConfig(n_probes=8, n_steps=5, g=3.0)):
@@ -489,13 +563,17 @@ def _breaking(objective: Objective, name: str, fail_at: dict, how: str) -> Objec
 FAIL_AT = {"run 2": 30, "run 4": 3}
 
 
-@pytest.mark.parametrize("how, message", [
+FAILURES = [
     ("raise", "objective failed at step 30: run 2 broke"),
     ("nan", "non-finite fitness at step 30, probe 2"),
-])
+]
+FAILING_CFGS = [CfoConfig(n_probes=8, n_steps=60, gamma=g) for g in np.linspace(0, 1, 6)]
+
+
+@pytest.mark.parametrize("how, message", FAILURES)
 def test_a_group_reports_its_lowest_numbered_failure(how, message):
     gp = get_objective("gp")
-    cfgs = [CfoConfig(n_probes=8, n_steps=60, gamma=g) for g in np.linspace(0, 1, 6)]
+    cfgs = FAILING_CFGS
     objectives = [_breaking(get_objective("gp"), f"run {i + 1}", FAIL_AT, how) for i in range(6)]
     outcomes = run_group(cfgs, gp.bounds, objectives)
     assert len(outcomes) == 2
@@ -505,22 +583,68 @@ def test_a_group_reports_its_lowest_numbered_failure(how, message):
         run(cfgs[1], gp.bounds, _breaking(get_objective("gp"), "run 2", FAIL_AT, how))
 
 
+def _shared_breaking(objective: Objective, cfgs: list, fail_at: dict, how: str) -> Objective:
+    """A stateless objective that every run of a group of cfgs may share,
+    failing as _breaking does on the rows a run reaches at its fail_at step
+    (the positions it has there made alone), wherever they sit in a call."""
+    marks = []
+    for name, step in fail_at.items():
+        cfg = cfgs[int(name.split()[1]) - 1]
+        rec = run(cfg, objective.bounds, objective, keep_history=True)
+        marks.append((name, step, rec.positions_history[step]))
+
+    def evaluate_batch(rows, step=0):
+        values = objective.evaluate_batch(rows, step)
+        for name, at, mark in marks:
+            blocks = rows.reshape(-1, *mark.shape) if step == at else ()
+            for b, block in enumerate(blocks):
+                if np.array_equal(block, mark):
+                    if how == "raise":
+                        raise ValueError(f"{name} broke")
+                    values[b * len(mark) + 1] = math.nan
+        return values
+
+    return Objective(id=objective.id, n_dims=objective.n_dims, bounds=objective.bounds,
+                     evaluate_batch=evaluate_batch)
+
+
+@pytest.mark.parametrize("how, message", FAILURES)
+def test_a_group_sharing_one_objective_reports_its_lowest_numbered_failure(how, message):
+    gp = get_objective("gp")
+    shared = _shared_breaking(gp, FAILING_CFGS, FAIL_AT, how)
+    outcomes = run_group(FAILING_CFGS, gp.bounds, [shared] * 6)
+    assert len(outcomes) == 2
+    assert outcomes[0].to_json() == run(FAILING_CFGS[0], gp.bounds, gp).to_json()
+    assert isinstance(outcomes[1], EngineError) and message in str(outcomes[1])
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run(FAILING_CFGS[1], gp.bounds, shared)
+
+
 def test_a_failed_sweep_writes_the_runs_before_it_and_closes_every_objective(
         tmp_path, monkeypatch, capsys):
+    # a gamma sweep's group shares one stateless objective, which fails on
+    # run 2's rows at step 30 only
     spec = _sweep_spec(tmp_path, "gp", {"n_probes": 8, "n_steps": 60}, _gamma_sweep(6))
     built, closed = [], []
 
     def get_breaking(obj_id, **options):
-        name = f"run {len(built) + 1}"
-        built.append(name)
-        obj = _breaking(get_objective(obj_id, **options), name, FAIL_AT, "raise")
-        obj.close = lambda: closed.append(name)
-        return obj
+        built.append(_shared_breaking(get_objective(obj_id, **options), FAILING_CFGS,
+                                      {"run 2": 30}, "raise"))
+        return built[-1]
+
+    close = cli._close
+
+    def recording_close(objective):
+        closed.append(objective)
+        close(objective)
 
     monkeypatch.setattr(cli, "get_objective", get_breaking)
+    monkeypatch.setattr(cli, "_close", recording_close)
     with pytest.raises(EngineError, match="objective failed at step 30: run 2 broke"):
         cli.sweep_runs(spec, quiet=True)
-    assert sorted(closed) == sorted(built) == [f"run {i}" for i in range(1, 7)]
+    # the spec's own objective, then the group's one
+    assert len(built) == 1 and len(closed) == 2
+    assert closed[0] is spec.objective and closed[1] is built[0]
     out = tmp_path / "out"
     gp = get_objective("gp")
     assert (out / "run_01" / "record.json").read_text() == (

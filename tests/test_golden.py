@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of record.json for nine short runs, of
 summary.csv and summary.txt for one sweep and one single run, of summary.csv
-and every record.json of three sweeps, and of every
+and every record.json of four sweeps, and of every
 text file one short 2-D run writes with all its per-step outputs on, and
 of the ring's coupling matrix K, which every pbm3 power is read from.
 
@@ -100,6 +100,15 @@ SWEEPS = {  # name: (config blocks, summary.csv SHA-256, each run's record.json 
                                     "6a3f2e40057f962d2d628ede805ac7d5aede6fc559b340cc70c7590815fe65fc",
                                     "b5a5dc2e64918db3891506db1155430c019f4dfbc1fd361459899d9f53c0e271",
                                     "ae89efca9b37fdd96bc02b601fcc7a8c98a7539eab841ba323c8d919ba8ba01e"]),
+    # every run restarts the same seeded noise stream
+    "gp_noisy_gamma": ({"objective": {"id": "gp", "options": {"noise": {"seed": 3, "sigma": 0.5}}},
+                        "cfo": {"n_probes": 8, "n_steps": 30},
+                        "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 4}},
+                       "05c613c99a57b11e88e89e94692e7b281d12622fc3aac6becca0e56fb56120ce",
+                       ["814adb9538d383dfbd3ab0b72103443391e42d280f36a93f2dc8b8577e6758cb",
+                        "29497d93817ecef22edd9005fc5ee4ee38fcc0deb298964062dc7e3bc90f286b",
+                        "2d8deda654d95bdf629ba18b93e5302b0a6f0116cf2a453501d575ac61655c90",
+                        "76927c79f2de074dd3d89b0534549f491307e6f0a07a587ba9d7418521077fcb"]),
     # each run owns its noise stream
     "gp_noisy_seed": ({"objective": {"id": "gp", "options": {"noise": {"sigma": 0.5}}},
                        "cfo": {"n_probes": 8, "n_steps": 60},

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfobench import antenna, get_objective, list_objectives, objectives
 from cfobench.engine import CfoConfig, EngineError, run
@@ -270,3 +272,43 @@ def test_pbm4_requires_the_external_protocol():
 
 def test_objective_close_defaults_to_none():
     assert get_objective("gp").close is None
+
+
+# every registered id whose objective is stateless (no noise, no close) and
+# needs no options: the ones a lockstep group may share
+STATELESS = [obj_id for obj_id in list_objectives() if obj_id not in ("external", "pbm4")]
+# how many leading coordinates key an antenna id's power memo (None: all);
+# each stacked call draws them from a few values, so misses stay few
+POWER_KEY = {"pbm1": 1, "pbm2": 1, "pbm3": 1, "pbm5": None}
+
+
+@pytest.mark.parametrize("obj_id", STATELESS)
+def test_a_stacked_call_gives_the_bits_of_calls_per_run(obj_id):
+    # run_group's one call on a group's rows against each run's own call,
+    # through two objectives so the per-run side computes its own misses
+    stacked, per_run = get_objective(obj_id), get_objective(obj_id)
+    assert stacked.noise is None and stacked.close is None
+    lo, hi = stacked.bounds.lower, stacked.bounds.upper
+    keyed = obj_id in POWER_KEY
+
+    @settings(max_examples=2 if keyed else 6, derandomize=True, deadline=None, database=None)
+    @given(n_r=st.integers(1, 16), n_p=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+           corners=st.floats(0.0, 1.0))
+    @example(n_r=1, n_p=1, seed=0, corners=1.0)
+    @example(n_r=16, n_p=120, seed=1, corners=0.25)
+    def check(n_r, n_p, seed, corners):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(lo, hi, (n_r * n_p, len(lo)))
+        # a share of the rows sit at box corners
+        at = rng.random(len(rows)) < corners
+        rows[at] = np.where(rng.random((int(at.sum()), len(lo))) < 0.5, lo, hi)
+        if keyed:
+            k = POWER_KEY[obj_id] or len(lo)
+            rows[:, :k] = rows[rng.integers(0, min(3, len(rows)), len(rows)), :k]
+        values = stacked.evaluate_batch(rows.copy())
+        alone = np.concatenate([per_run.evaluate_batch(block.copy())
+                                for block in rows.reshape(n_r, n_p, -1)])
+        assert values.shape == alone.shape == (n_r * n_p,)
+        assert np.array_equal(values.view(np.uint64), alone.view(np.uint64))
+
+    check()

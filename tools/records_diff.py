@@ -17,9 +17,10 @@ trailing block exceeds a grid chunk, so the grid splits after axis 1), a
 noisy 301x301 oracle (its noise stream crosses a chunk boundary), an
 `external` oracle at 3x150x150 (67,500 points, sent as batches of 45,000
 and 22,500 requests, each far beyond what the pipes buffer), a 3-run
-`pbm3` gamma sweep (each run builds its own ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
-threads (each run builds its own objective and power memo), a 4-run noisy
-`sgo` seed sweep on 2 threads (each run owns its noise stream), a 3-run
+`pbm3` gamma sweep (its group shares one ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
+threads (each group builds its own objective and power memo), a 4-run noisy
+`sgo` seed sweep on 2 threads (each run owns its noise stream), a 4-run
+noisy `gp` gamma sweep (each run restarts the same seeded stream), a 3-run
 `external` gamma sweep whose command is one shell-quoted string (each run
 splits it and starts its own child), an 11-run `himmelblau` gamma sweep
 with early termination (its runs stop at different steps), a `gp`
@@ -101,6 +102,9 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
                                                "outputs": {"trajectories": True},
                                                "sweep": {"parameter": "gamma", "start": 0, "stop": 1,
                                                          "count": 11}}),
+    "gp_noisy_gamma_sweep": ({"id": "gp", "options": {"noise": {"seed": 3, "sigma": 0.5}}},
+                             {"cfo": {"n_probes": 8, "n_steps": 30}, "outputs": {},
+                              "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 4}}),
     "gp_frep_init_sweep": ("gp", {"cfo": {"n_probes": 8, "n_steps": 100}, "outputs": {},
                                   "sweep": {"parameter": "frep_init", "start": 0.1, "stop": 0.9, "count": 5}}),
     # rounds to 2, 2, 3, 4, 4, 4, 5 probes
