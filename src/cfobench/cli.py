@@ -76,12 +76,11 @@ EMIT_FLAGS = tuple(DEFAULT_EMIT)
 DEFAULT_N_STEPS = 500
 DEFAULT_PROBES_PER_DIM = 4
 DEFAULT_MIN_PROBES = 6
-# sweep_groups' limits on a lockstep group: past 16 runs a run's share of a
+# sweep_groups' limit on a lockstep group: past 16 runs a run's share of a
 # gp step hardly falls, while a group of runs with their own objectives
-# (noisy ones) keeps them all alive; past 2^17 pair coordinates (1 MiB per
-# pair array) a group was no faster than its runs one at a time
+# (noisy ones) keeps them all alive; the engine bounds the group's pair
+# arrays itself, whatever its size
 MAX_GROUP_RUNS = 16
-GROUP_PAIR_BUDGET = 1 << 17
 
 
 def default_probe_count(n_dims: int) -> int:
@@ -483,20 +482,17 @@ def sweep_groups(spec: RunSpec, cfgs: List[CfoConfig], jobs: int = 1) -> List[ra
     A group is consecutive runs with one probe count, at most
     MAX_GROUP_RUNS of them (runs with their own objectives keep them alive
     until the group ends) and at most a jobs-th of the sweep (rounded up),
-    so each of jobs threads has a group to take, with R * n_p^2 * n_d, the
-    size of the group's pair arrays, at most GROUP_PAIR_BUDGET unless the
-    group is one run. An objective that owns an external child gets one run
-    per group, so a sweep thread holds one child at a time.
+    so each of jobs threads has a group to take. The group's size is not
+    bounded by its pair arrays: the engine step works on them in blocks
+    that stay in cache. An objective that owns an external child gets one
+    run per group, so a sweep thread holds one child at a time.
     """
     external = getattr(spec.objective, "close", None) is not None
-    n_d = spec.space.n_dims
     size = min(MAX_GROUP_RUNS, -(-len(cfgs) // jobs))
     groups, start = [], 0
     for i in range(1, len(cfgs) + 1):
-        n_p = int(cfgs[start].n_probes)
-        if (i == len(cfgs) or external or int(cfgs[i].n_probes) != n_p
-                or i - start >= size
-                or (i - start + 1) * n_p * n_p * n_d > GROUP_PAIR_BUDGET):
+        if (i == len(cfgs) or external
+                or int(cfgs[i].n_probes) != int(cfgs[start].n_probes) or i - start >= size):
             groups.append(range(start, i))
             start = i
     return groups

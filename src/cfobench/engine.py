@@ -243,10 +243,16 @@ class RunRecord:
 # elementary operations
 
 
+# the most doubles one block of the step's pair arrays holds (512 KiB): the
+# pair work of a whole group at 120 probes in 30-D would fill 3.4 MB arrays
+# per run, past a core's cache, and a block this size stays in it
+_BLOCK_VALUES = 1 << 16
+
+
 class _Step:
     """Scratch arrays for the engine step of n_r runs in lockstep, each with
-    n_p probes in n_d dimensions; every array leads with the run axis, which
-    the pair arrays merge with the probe axis.
+    n_p probes in n_d dimensions; every per-probe array leads with the run
+    axis, and the pair buffers are flat, each block viewing a prefix.
 
     run_group() builds one per group and reuses its arrays on every step;
     each public step function below builds a throwaway one for a single
@@ -256,17 +262,39 @@ class _Step:
     the same ufuncs on the same operands in the same order, the run axis
     only adding an outer loop, where in-place ** takes numpy's scalar-power
     shortcut (an integer 2 squares) exactly where ** does.
+
+    The pair work goes in blocks of at most _BLOCK_VALUES pair coordinates:
+    whole runs while one run's n_p^2 * n_d fits, else row slices [a, b) of
+    one run, so a block's pair arrays stay in cache whatever the group's
+    size. A block of rows is the arithmetic of a smaller group: each row
+    (probe p against every probe k) is computed apart. Only the distances
+    span the whole step, one (n_r, n_p, n_p) array. A row block computes
+    the columns k >= a and copies the columns k < a from the transposed
+    rows of the blocks before it, which hold the same bits: IEEE
+    subtraction is antisymmetric, fl(x_k - x_p) = -fl(x_p - x_k), and
+    x - x = +0, so the squares are equal, and numpy reduces each contiguous
+    n_d row in the same order. __init__ builds every block's views once, so
+    a step does no slicing beyond the positions and fitnesses it is given.
     """
 
     def __init__(self, n_r: int, n_p: int, n_d: int):
-        # the pair arrays merge the run and probe axes, [r * n_p + p, k]:
-        # every run's probe p against probe k of the same run
-        self.pairs = np.empty((n_r * n_p, n_p, n_d))     # [., k, :] = r_k - r_p
-        self.squares = np.empty((n_r * n_p, n_p, n_d))
-        self.dist = np.empty((n_r * n_p, n_p))           # distance, then distance^beta
-        self.weight = np.empty((n_r * n_p, n_p))         # fitness gap, mass, then weight
-        self.alive = np.empty((n_r * n_p, n_p), dtype=bool)
-        self.dead = np.empty((n_r * n_p, n_p), dtype=bool)
+        run_values = n_p * n_p * n_d
+        if run_values <= _BLOCK_VALUES:  # whole runs: (r0, r1, a, b) = (r0, r1, 0, n_p)
+            per = _BLOCK_VALUES // run_values
+            spans = [(r, min(r + per, n_r), 0, n_p) for r in range(0, n_r, per)]
+        else:  # rows [a, b) of run r
+            rows = max(1, _BLOCK_VALUES // (n_p * n_d))
+            spans = [(r, r + 1, a, min(a + rows, n_p))
+                     for r in range(n_r) for a in range(0, n_p, rows)]
+        # rows of the largest block (none when the group has no runs left)
+        most = max(((r1 - r0) * (b - a) for r0, r1, a, b in spans), default=0)
+        pairs = np.empty(most * n_p * n_d)      # [., k, :] = r_k - r_p
+        squares = np.empty(most * n_p * n_d)    # its columns k >= a, squared
+        weight = np.empty(most * n_p)           # fitness gap, mass, then weight
+        power = np.empty(most * n_p)            # a row block's distance^beta
+        alive = np.empty(most * n_p, dtype=bool)
+        dead = np.empty(most * n_p, dtype=bool)
+        dist = np.empty((n_r, n_p, n_p))      # each run's distances, [r, p, k]
         self.acc = np.empty((n_r, n_p, n_d))
         self.low = np.empty((n_r, n_p, n_d), dtype=bool)
         self.high = np.empty((n_r, n_p, n_d), dtype=bool)
@@ -274,9 +302,32 @@ class _Step:
         self.offsets = np.empty((n_r, n_p, n_d))
         self.radii = np.empty((n_r, n_p))
         self.totals = np.empty(n_r)
-        self.run_pairs = self.pairs.reshape(n_r, n_p, n_p, n_d)
-        self.run_weight = self.weight.reshape(n_r, n_p, n_p)
-        self.flat_acc = self.acc.reshape(n_r * n_p, n_d)
+        self.blocks = []
+        for r0, r1, a, b in spans:
+            m, rows = r1 - r0, b - a
+            block_pairs = pairs[:m * rows * n_p * n_d].reshape(m, rows, n_p, n_d)
+            by_row = m * rows, n_p
+            block_dist = dist[r0:r1, a:b].reshape(by_row)
+            self.blocks.append((
+                (slice(r0, r1), None),                       # every probe of the runs
+                (slice(r0, r1), slice(a, b), None),          # the block's rows
+                block_pairs,
+                block_pairs[:, :, a:],
+                squares[:m * rows * (n_p - a) * n_d].reshape(m, rows, n_p - a, n_d),
+                dist[r0:r1, a:b, a:],
+                # the columns k < a, and the rows before the block that hold them
+                (dist[r0:r1, a:b, :a], dist[r0:r1, :a, a:b].transpose(0, 2, 1)) if a else None,
+                block_dist,
+                weight[:m * rows * n_p].reshape(m, rows, n_p),
+                weight[:m * rows * n_p].reshape(by_row),
+                # a whole-run block raises its own distances to beta; a row
+                # block keeps them for the mirrors of the blocks after it
+                block_dist if rows == n_p else power[:m * rows * n_p].reshape(by_row),
+                alive[:m * rows * n_p].reshape(by_row),
+                dead[:m * rows * n_p].reshape(by_row),
+                block_pairs.reshape(m * rows, n_p, n_d),
+                self.acc[r0:r1, a:b].reshape(m * rows, n_d),
+            ))
 
     @staticmethod
     def advance(prev: np.ndarray, acc: np.ndarray, delta_t: float, out: np.ndarray) -> np.ndarray:
@@ -305,22 +356,29 @@ class _Step:
 
     def accelerations(self, pos: np.ndarray, fit: np.ndarray, cfg: CfoConfig,
                       space: DecisionSpace) -> np.ndarray:
-        pairs, dist, weight, dead = self.pairs, self.dist, self.weight, self.dead
-        np.subtract(pos[:, None], pos[:, :, None], out=self.run_pairs)
-        np.multiply(pairs, pairs, out=self.squares)
-        np.add.reduce(self.squares, axis=2, out=dist)
-        np.sqrt(dist, out=dist)
-        np.subtract(fit[:, None], fit[:, :, None], out=self.run_weight)
-        np.maximum(weight, 0.0, out=weight)
-        weight **= float(cfg.alpha)
-        # a probe's own pair has distance exactly 0, so it is never alive
-        np.greater(dist, COINCIDENT_REL_TOL * space.diag_length, out=self.alive)
-        np.logical_not(self.alive, out=dead)
-        dist **= float(cfg.beta)
-        np.divide(weight, dist, out=weight, where=self.alive)
-        np.copyto(weight, 0.0, where=dead)
-        np.einsum("pk,pkd->pd", weight, pairs, out=self.flat_acc)
-        self.flat_acc *= float(cfg.g)
+        alpha, beta, tol = float(cfg.alpha), float(cfg.beta), COINCIDENT_REL_TOL * space.diag_length
+        for (every, rows, pairs, upper, squares, dist_upper, mirror, dist, gap, weight, power,
+             alive, dead, flat_pairs, acc) in self.blocks:
+            np.copyto(pairs, pos[every])
+            pairs -= pos[rows]
+            np.multiply(upper, upper, out=squares)
+            np.add.reduce(squares, axis=3, out=dist_upper)
+            np.sqrt(dist_upper, out=dist_upper)
+            if mirror is not None:
+                np.copyto(*mirror)
+            np.subtract(fit[every], fit[rows], out=gap)
+            np.maximum(weight, 0.0, out=weight)
+            weight **= alpha
+            # a probe's own pair has distance exactly 0, so it is never alive
+            np.greater(dist, tol, out=alive)
+            np.logical_not(alive, out=dead)
+            if power is not dist:
+                np.copyto(power, dist)
+            power **= beta
+            np.divide(weight, power, out=weight, where=alive)
+            np.copyto(weight, 0.0, where=dead)
+            np.einsum("pk,pkd->pd", weight, flat_pairs, out=acc)
+        self.acc *= float(cfg.g)
         return self.acc
 
     def d_avg(self, pos: np.ndarray, reference: np.ndarray, space: DecisionSpace,
@@ -344,9 +402,10 @@ def compute_accelerations(
     a_p = g * sum_k mass(m_k, m_p) * (r_k - r_p) / |r_k - r_p|^beta.
     Coincident pairs, closer than 1e-14 of the space diagonal, are skipped
     (zero contribution). The arrays are a throwaway _Step's; run() keeps one
-    _Step for all its steps, because glibc returned fresh per-step arrays to
-    the system on every step and faulted them in again (about 1,600 page
-    faults a step at 120 probes in 30 dimensions).
+    _Step for all its steps, because glibc returns fresh per-step arrays to
+    the system on every step and faults them in again: about 220 page
+    faults a step at 120 probes in 30 dimensions, and none with the arrays
+    kept.
     """
     pos = np.asarray(positions, dtype=float)
     fit = np.asarray(fitness, dtype=float)

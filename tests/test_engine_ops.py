@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cfobench import engine
 from cfobench.engine import (
+    COINCIDENT_REL_TOL,
     CfoConfig,
     ConfigError,
     advance_positions,
@@ -237,3 +239,74 @@ def test_single_step_matches_naive_loops():
         want = naive_full_step(pos, fit, acc, cfg, space, frep)
         assert np.max(np.abs(got - want)) < 1e-12, f"trial {trial}"
         assert space.contains(got)
+
+
+def full_array_accelerations(pos, fit, cfg, space):
+    """The step's force sum over the whole group's pair arrays at once, the
+    form the blocked step replaced: the bit-for-bit reference."""
+    n_r, n_p, n_d = pos.shape
+    pairs = np.empty((n_r * n_p, n_p, n_d))
+    squares = np.empty((n_r * n_p, n_p, n_d))
+    dist = np.empty((n_r * n_p, n_p))
+    weight = np.empty((n_r * n_p, n_p))
+    acc = np.empty((n_r, n_p, n_d))
+    np.subtract(pos[:, None], pos[:, :, None], out=pairs.reshape(n_r, n_p, n_p, n_d))
+    np.multiply(pairs, pairs, out=squares)
+    np.add.reduce(squares, axis=2, out=dist)
+    np.sqrt(dist, out=dist)
+    np.subtract(fit[:, None], fit[:, :, None], out=weight.reshape(n_r, n_p, n_p))
+    np.maximum(weight, 0.0, out=weight)
+    weight **= float(cfg.alpha)
+    alive = dist > COINCIDENT_REL_TOL * space.diag_length
+    dead = ~alive
+    dist **= float(cfg.beta)
+    np.divide(weight, dist, out=weight, where=alive)
+    np.copyto(weight, 0.0, where=dead)
+    np.einsum("pk,pkd->pd", weight, pairs, out=acc.reshape(n_r * n_p, n_d))
+    acc *= float(cfg.g)
+    return acc
+
+
+def awkward_group(rng, n_r, n_p, n_d, space):
+    """Positions and fitnesses of n_r runs with coincident probes, fitness
+    ties and signed zeros among the coordinates and the fitnesses."""
+    pos = rng.uniform(space.lower, space.upper, size=(n_r, n_p, n_d))
+    pos[:, 1] = pos[:, 0]                        # coincident probes
+    pos[:, -1] = pos[:, n_p // 2]
+    zeros = rng.random(pos.shape) < 0.2
+    pos[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    fit = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(n_r, n_p))
+    fit[:, n_p // 3:] = rng.uniform(-3.0, 3.0, size=(n_r, n_p - n_p // 3))
+    fit[:, -2] = fit[:, 0]                       # a tie far from its twin
+    return pos, fit
+
+
+# (block budget or None for _BLOCK_VALUES, runs, probes, dimensions)
+BLOCK_SHAPES = [
+    (None, 3, 8, 2),       # one block
+    (None, 7, 40, 10),     # whole-run blocks of four and three runs
+    (None, 2, 120, 30),    # row blocks of 18 rows, each run's last of 12
+    (None, 1, 90, 30),     # row blocks of 24 rows, the last of 18
+    (50, 3, 8, 2),         # row blocks of 3, 3 and 2 rows
+    (1, 2, 5, 3),          # row blocks of one row
+    (40, 5, 6, 1),         # one 1-D run a block
+]
+
+
+@pytest.mark.parametrize("budget, n_r, n_p, n_d", BLOCK_SHAPES)
+@pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (1.5, 3.0)])
+def test_blocked_step_gives_the_full_array_bits(monkeypatch, budget, n_r, n_p, n_d, alpha, beta):
+    if budget is not None:
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", budget)
+    rng = np.random.default_rng(n_r * 1000 + n_p * 10 + n_d)
+    space = DecisionSpace(np.full(n_d, -5.0), np.full(n_d, 4.0))
+    cfg = CfoConfig(n_probes=n_p, n_steps=1, alpha=alpha, beta=beta, g=3.0)
+    step = engine._Step(n_r, n_p, n_d)
+    for _ in range(2):  # the second step reuses every block's arrays
+        pos, fit = awkward_group(rng, n_r, n_p, n_d, space)
+        got = step.accelerations(pos, fit, cfg, space)
+        want = full_array_accelerations(pos, fit, cfg, space)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        for r in range(n_r):
+            alone = compute_accelerations(pos[r], fit[r], cfg, space)
+            assert (alone.view(np.uint64) == got[r].view(np.uint64)).all()

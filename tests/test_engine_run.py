@@ -501,7 +501,7 @@ def _gamma_sweep(count):
     return {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": count}
 
 
-def test_sweep_groups_follow_probe_count_size_threads_pair_budget_and_children(tmp_path):
+def test_sweep_groups_follow_probe_count_size_threads_and_children(tmp_path):
     def groups(objective, cfo, sweep, jobs=1):
         spec = _sweep_spec(tmp_path, objective, cfo, sweep)
         cfgs = [cli._sweep_run_config(spec, sweep["parameter"], v)
@@ -521,9 +521,8 @@ def test_sweep_groups_follow_probe_count_size_threads_pair_budget_and_children(t
     assert groups("parrott_f4", {"n_steps": 5},
                   {"parameter": "n_probes", "start": 2, "stop": 5, "count": 7}) == [
         (0, 2), (2, 3), (3, 6), (6, 7)]
-    # 120 probes in 30-D: one run's pairs exceed the budget
-    assert 120 * 120 * 30 > cli.GROUP_PAIR_BUDGET
-    assert groups("schwefel_226", {"n_steps": 5}, _gamma_sweep(3)) == [(0, 1), (1, 2), (2, 3)]
+    # 120 probes in 30-D: the engine blocks the pair arrays, so the runs group
+    assert groups("schwefel_226", {"n_steps": 5}, _gamma_sweep(3)) == [(0, 3)]
     external = {"id": "external", "options": {
         "command": [sys.executable, "-m", "cfobench.external", "quadratic"],
         "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}}
@@ -531,7 +530,7 @@ def test_sweep_groups_follow_probe_count_size_threads_pair_budget_and_children(t
         (0, 1), (1, 2), (2, 3)]
 
 
-def test_runs_the_pair_budget_splits_keep_their_bytes(tmp_path):
+def test_a_group_of_120_probe_runs_keeps_each_runs_bytes(tmp_path):
     spec = _sweep_spec(tmp_path, "schwefel_226", {"n_steps": 6}, _gamma_sweep(3))
     records, _rows = cli.sweep_runs(spec, quiet=True)
     obj = get_objective("schwefel_226")

@@ -1,6 +1,6 @@
-"""Golden SHA-256 digests of record.json for nine short runs, of
+"""Golden SHA-256 digests of record.json for ten short runs, of
 summary.csv and summary.txt for one sweep and one single run, of summary.csv
-and every record.json of four sweeps, and of every
+and every record.json of six sweeps, and of every
 text file one short 2-D run writes with all its per-step outputs on, and
 of the ring's coupling matrix K, which every pbm3 power is read from.
 
@@ -52,6 +52,10 @@ RUNS = {  # name: (objective block, cfo block, record.json SHA-256)
     # g * sum overflows to +-inf accelerations, which retrieval absorbs
     "gp_g_overflow": ("gp", {"n_probes": 8, "n_steps": 20, "g": 1e308},
                       "b4e3f03819d1426b5bd92df858615c4ffa82e8cd36c68c6f0762347c116e87db"),
+    # 120 probes in 30-D: the pair work splits into row blocks, the last one
+    # short, and each block mirrors the distances of the rows before it
+    "schwefel_226_120": ("schwefel_226", {"n_steps": 6},
+                         "ae097873cb46667a23c8da8f20d95cf3c57821db746d51169d448018cb78f5bf"),
 }
 
 
@@ -118,6 +122,25 @@ SWEEPS = {  # name: (config blocks, summary.csv SHA-256, each run's record.json 
                        "46f20ac4a69d09910fa311285131a3ae8979f71c9eb13bd6d1bf85f5643f096a",
                        "5935efb146fe6e26baaf090bd948832d3ec7eb78393e4e003c487f7deb43a2c6",
                        "dcd82d00ad0ed752350508f1349ab237103ac0a2793e0f4a308676acaef14d93"]),
+    # one group of three 120-probe 30-D runs, each in row blocks
+    "schwefel_226_gamma": ({"objective": "schwefel_226", "cfo": {"n_steps": 4},
+                            "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 3}},
+                           "82c2c929d6409ecb920a30d3013288efa50ae036d5e62bf91ef09a1d1b1f43aa",
+                           ["7caa2ae79f95ae24229d58d268610298f15aee228fe6eb883fa1f5b042e68c09",
+                            "4f398ae885b66b2e22b81e2980f0aec4ca16d5f8cb93ea5f1b541e93810bd7d7",
+                            "922abfaae7d2be3d1553fc8fc20187f5cc0d1f51477ac04296b51f7c54dc6619"]),
+    # one group of seven 40-probe 10-D runs: whole-run blocks of four and three
+    "griewank_10d_gamma": ({"objective": {"id": "griewank", "options": {"n_dims": 10}},
+                            "cfo": {"n_steps": 10},
+                            "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "count": 7}},
+                           "5684e7d52b3da46eed093176f73bc9929048a453fbdb4fc0739b62757efdbb0a",
+                           ["fcbd1e7920853334bdea450814d9151e2599b971ec7fd786741f1d961bef1edd",
+                            "f1a717a607d269fe2f981cfb8233fda8d382667437c8dca54c47b2c7ad32d564",
+                            "485dcf473da5dbe64a5f30da9de9d25acaafb75c6a1661354662c9e760106c45",
+                            "40fd80b1857a97b8eeea66149fcb7b83e2a119157dcd01112e4a1107f0a1dba7",
+                            "c307b78732aa3d245ae44bf605f1a826094c7c506467bb4bccf8552cf6666847",
+                            "175283f824474eddefd324b9aedeba5e1861613fdc40537616822515c1995660",
+                            "8b79d8630caa5fd21c1b35dd71cae5e2f0c737a522b083c926f72947c895af57"]),
 }
 
 

@@ -26,7 +26,10 @@ splits it and starts its own child), an 11-run `himmelblau` gamma sweep
 with early termination (its runs stop at different steps), a `gp`
 `frep_init` sweep, a 1-D `parrott_f4` `n_probes` sweep (runs of different
 shapes, some consecutive runs alike), an 11-run `colville` gamma sweep, a
-3-run 30-D `schwefel_226` gamma sweep at the default 120 probes, and the
+3-run 30-D `schwefel_226` gamma sweep at the default 120 probes (one group,
+each run's pair work in row blocks), a 7-run 10-D `griewank` gamma sweep at
+40 probes (whole-run blocks of four and three runs), a 90-probe 30-D
+`schwefel_226` run (row blocks whose last one is short), and the
 history outputs the benchmark
 leaves out (probe snapshots alone in 2-D and in 3-D, where none are
 written, snapshots and trajectories together in one 2-D in-process run, and
@@ -71,6 +74,8 @@ EXTRA = {  # name: (objective, cfo block)
     "himmelblau_coincident": ("himmelblau", {"n_probes": 4, "n_steps": 100, "init_scheme": "custom",
                                              "initial_probes": [[1.0, 1.0], [1.0, 1.0], [-3.0, 2.0],
                                                                 [4.0, -4.0]]}),
+    # 90 probes in 30-D: row blocks of 24 rows, the last of 18
+    "schwefel_226_90": ("schwefel_226", {"n_probes": 90, "n_steps": 60, "init_scheme": "off_diagonal"}),
 }
 for _g in (0.0, 0.5, 1.0):
     for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
@@ -115,6 +120,10 @@ CONFIGS = {  # name: (objective, config blocks besides outputs.dir); a sweep blo
                                     "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 11}}),
     "schwefel_226_sweep": ("schwefel_226", {"cfo": {"n_steps": 20}, "outputs": {},
                                             "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 3}}),
+    # seven 40-probe 10-D runs in one group: whole-run blocks of four and three runs
+    "griewank_10d_sweep": ({"id": "griewank", "options": {"n_dims": 10}},
+                           {"cfo": {"n_steps": 100}, "outputs": {},
+                            "sweep": {"parameter": "gamma", "start": 0, "stop": 1, "count": 7}}),
 }
 EXTRA_ORACLES = {  # name: (objective, resolution)
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3}}}, [41, 41]),
