@@ -31,8 +31,8 @@ CouplingMatrix.power for a fixed planar array whose excitations vary
 radiated_power can memoize powers by key in a dict its caller owns (each
 antenna objective keeps one, keyed by a row's geometry coordinates) and
 calls the form only on a miss, so a form that builds its pattern when
-called builds it only then. The module keeps no power state; only the mesh
-nodes are shared.
+called builds it only then. The module keeps no state: sphere_mesh builds
+the nodes afresh on each call.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
 spacings that broadcast with theta, and array_pattern_rows takes one row of
@@ -228,7 +228,6 @@ def uniform_line_field(d, n_elements: int, theta, phi):
 # ---------------------------------------------------------------------------
 # directivity quadrature
 
-_MESH_CACHE: dict = {}
 _MEMO_LIMIT = 1 << 18
 _PW_BLOCK = 128  # leaf size of numpy's pairwise summation
 
@@ -241,14 +240,9 @@ def sphere_mesh(n_theta: int = DEFAULT_N_THETA, n_phi: int = DEFAULT_N_PHI):
     sphere. Exposed so callers can integrate their own mesh quantities
     with exactly the nodes the power integral uses.
     """
-    key = (n_theta, n_phi)
-    got = _MESH_CACHE.get(key)
-    if got is None:
-        theta = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
-        phi = (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
-        got = (theta[:, None], phi[None, :], np.sin(theta)[:, None])
-        _MESH_CACHE[key] = got
-    return got
+    theta = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
+    phi = (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
+    return theta[:, None], phi[None, :], np.sin(theta)[:, None]
 
 
 def _midpoint_sum(pattern: Callable, n_theta: int, n_phi: int, rows: int, cols: int) -> float:

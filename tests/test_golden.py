@@ -1,8 +1,9 @@
 """Golden SHA-256 digests of record.json for ten short runs, of
 summary.csv and summary.txt for one sweep and one single run, of summary.csv
 and every record.json of six sweeps, and of every
-text file one short 2-D run writes with all its per-step outputs on, and
-of the ring's coupling matrix K, which every pbm3 power is read from.
+text file one short 2-D run writes with all its per-step outputs on, of
+the ring's coupling matrix K, which every pbm3 power is read from, and of
+the best record of each of criterion 3's analytic gamma sweeps.
 
 Byte-identical records are guaranteed per platform and numpy build (see the
 README), so the digests are pinned to the build they were taken on and the
@@ -20,6 +21,7 @@ import sys
 import numpy as np
 import pytest
 
+from cfobench.acceptance import _analytic_sweep
 from cfobench.antenna import CouplingMatrix, circular_array_spec
 from cfobench.cli import main
 
@@ -236,3 +238,19 @@ def test_ring_coupling_matrix_digest():
     k = CouplingMatrix(circular_array_spec(0.0))._build(256, 512)
     assert (k.shape, k.dtype) == ((8, 8), np.complex128)
     assert hashlib.sha256(k.tobytes()).hexdigest() == K_DIGEST
+
+
+ANALYTIC_BESTS = {  # id: (best gamma, SHA-256 of the best record's to_json())
+    "gp": (0.4, "4a43f62270cfdba9dcb21886838a228d042dbe1e61fccb61eec720ca74d52f8f"),
+    "himmelblau": (0.7, "1f77323e700a899162278e741d1e5ca225abb9d977c94fff6b78642944f1816f"),
+    "parrott_f4": (0.0, "c2491c1efbc064e309836af25b3960ad23785e273e84c3513c4fe129e64c6408"),
+}
+
+
+@pytest.mark.parametrize("func_id", sorted(ANALYTIC_BESTS))
+def test_analytic_sweep_best(func_id):
+    if _this_build() != BUILD:
+        pytest.skip(f"digests were taken on {BUILD}, this build is {_this_build()}")
+    record, gamma, _ = _analytic_sweep(func_id)
+    digest = hashlib.sha256(record.to_json().encode()).hexdigest()
+    assert (gamma, digest) == ANALYTIC_BESTS[func_id]
