@@ -331,10 +331,10 @@ def criterion_1() -> Verdict:
 def criterion_2() -> Verdict:
     # the cached runs are shared with later criteria, so their build time is
     # reported apart from the time to rerun them. The rerun starts cold: each
-    # builder makes a fresh objective, whose power memo is empty, so every
-    # power integral the runs need is computed again. Each analytic best ran
-    # in its sweep's lockstep group, and is rerun alone from the config its
-    # record echoes.
+    # builder makes a fresh objective, whose power memo is empty (pbm1 keeps
+    # none), so every power integral the runs need is computed again. Each
+    # analytic best ran in its sweep's lockstep group, and is rerun alone
+    # from the config its record echoes.
     def alone(func_id: str, record: RunRecord) -> RunRecord:
         objective = get_objective(func_id)
         return run(CfoConfig.from_json(record.config), objective.bounds, objective)

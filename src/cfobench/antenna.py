@@ -18,21 +18,15 @@ _direction.
 
 Every power integral is the same midpoint sum on the nodes and weights of
 sphere_mesh. radiated_power sums all nodes unless the caller hands it an
-exact cheaper form of that sum: axisymmetric_power for patterns that do not
-depend on phi (one node per theta row, folded in numpy's own pairwise
-summation order, so the result is the full sum's bits), octant_power for
-patterns even under the three coordinate reflections (1/8 of the nodes),
-UniformLinePower.power for the uniform line (octant_power's bits, in
-octant buffers the instance keeps), CollinearPower.power for y-dipoles
-strung on the y axis (octant_power's bits from the octant's upper
-triangle, about 1/16 of the nodes, when n_phi = 2 n_theta), or
-CouplingMatrix.power for a fixed planar array whose excitations vary
-(Re(e^H K e), an N x N product once K is built).
-radiated_power can memoize powers by key in a dict its caller owns (each
-antenna objective keeps one, keyed by a row's geometry coordinates) and
-calls the form only on a miss, so a form that builds its pattern when
-called builds it only then. The module keeps no state: sphere_mesh builds
-the nodes afresh on each call.
+exact cheaper form of that sum: axisymmetric_power (no phi dependence, one
+node per theta row in numpy's own pairwise summation order, batched),
+octant_power (even under the three coordinate reflections, 1/8 of the
+nodes), UniformLinePower.power and CollinearPower.power (octant_power's
+bits for the uniform line and for y-dipoles on the y axis), or
+CouplingMatrix.power (Re(e^H K e) for a fixed planar array whose
+excitations vary). radiated_power can memoize powers by key in a dict its
+caller owns and calls the form only on a miss, so a form that builds its
+pattern when called builds it only then. The module keeps no state.
 
 dipole_pattern and uniform_line_field also take arrays of lengths or
 spacings that broadcast with theta, and array_pattern_rows takes one row of
@@ -253,17 +247,18 @@ def _midpoint_sum(pattern: Callable, n_theta: int, n_phi: int, rows: int, cols: 
     return float(np.sum(f * f * sin_th[:rows]) * (math.pi / n_theta) * (TWO_PI / n_phi))
 
 
-def axisymmetric_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
+def axisymmetric_power(pattern: Callable, n_theta: int, n_phi: int):
     """radiated_power's midpoint sum, bit for bit, for a pattern that does not
-    depend on phi.
+    depend on phi: a float, or one sum per entry of a leading batch axis.
 
     Every theta row of the full-mesh summand holds one repeated value v, and
     np.sum reduces the contiguous mesh pairwise (numpy's pairwise_sum): leaf
     blocks of 128 values summed with eight running accumulators, then a
     halving tree. A leaf of 128 copies of v is 8 times (v added to itself 16
     times), exactly, and when the leaves tile the rows and their count is a
-    power of two the tree is log2(count) levels of pairwise sums. Any other
-    mesh raises ValueError. The result is exact for numpy builds that reduce
+    power of two the tree is log2(count) levels of pairwise sums, the first
+    log2(n_phi/128) of them exact doublings of a row's leaf. Any other mesh
+    raises ValueError. The result is exact for numpy builds that reduce
     in this order, which tests/test_antenna.py checks against the full sum.
     """
     leaves = n_theta * n_phi // _PW_BLOCK
@@ -273,15 +268,16 @@ def axisymmetric_power(pattern: Callable, n_theta: int, n_phi: int) -> float:
             f"number of {_PW_BLOCK}-node blocks, got {n_theta} x {n_phi}"
         )
     th, ph, sin_th = sphere_mesh(n_theta, n_phi)
-    f = np.broadcast_to(np.asarray(pattern(th, ph[:, :1]), dtype=float), (n_theta, 1))
-    v = (f * f * sin_th).ravel()
+    f = np.asarray(pattern(th, ph[:, :1]), dtype=float)
+    v = (f * f * sin_th)[..., 0]
     acc = v
     for _ in range(_PW_BLOCK // 8 - 1):
         acc = acc + v
-    s = np.repeat(8.0 * acc, n_phi // _PW_BLOCK)
-    while len(s) > 1:
-        s = s[0::2] + s[1::2]
-    return float(s[0] * (math.pi / n_theta) * (TWO_PI / n_phi))
+    s = (8.0 * (n_phi // _PW_BLOCK)) * acc
+    while s.shape[-1] > 1:
+        s = s[..., 0::2] + s[..., 1::2]
+    out = s[..., 0] * (math.pi / n_theta) * (TWO_PI / n_phi)
+    return float(out) if out.ndim == 0 else out
 
 
 def _octant(n_theta: int, n_phi: int):
@@ -310,14 +306,12 @@ class UniformLinePower:
     """octant_power(uniform_line_pattern(d, n_elements)), bit for bit.
 
     power() does uniform_line_field's arithmetic on the octant one step at a
-    time, in the same order, writing each step into octant-sized buffers
-    that this instance keeps, then sums with octant_power's expression. A
-    fresh temporary of the octant's size (128 KiB at 256 x 512) sits at
-    glibc's mmap threshold, so each call would map and page-fault it anew;
-    reused buffers fault once. The node tables (u = sin(theta) cos(phi), the
-    element factor and sin(theta)) and the buffers are built on the first
-    power() call for a mesh. The buffers make an instance unsafe to share
-    between threads; each objective owns one.
+    time, in the same order, into octant-sized buffers this instance keeps
+    (a fresh 128 KiB temporary sits at glibc's mmap threshold and would
+    page-fault on each call), then sums with octant_power's expression. The
+    node tables (u = sin(theta) cos(phi), the element factor, sin(theta))
+    and buffers are built on the first power() call for a mesh; they make an
+    instance unsafe to share between threads.
     """
 
     def __init__(self):
@@ -362,14 +356,13 @@ class CouplingMatrix:
     so radiated_power's midpoint sum equals Re(e^H K e), with K the Hermitian
     matrix of pair integrals K_mn = sum_nodes w elem^2 exp(j 2 pi r.(p_n - p_m)):
     the mutual-coupling form of array power (Balanis, Antenna Theory, array
-    directivity). K depends on the positions, the element and the mesh but
-    not on e; it is built on the first power() call for a mesh and kept by
-    this instance.
+    directivity). K does not depend on e; it is built on the first power()
+    call for a mesh and kept.
 
     The array must lie in the z=0 plane with its elements along z or in the
     plane, so the integrand is even in theta: K sums the upper half of the
-    theta rows and doubles it, a few rows at a time so that no temporary
-    spans the mesh, and mirrors its upper triangle.
+    theta rows and doubles it, and mirrors its upper triangle. It takes a few
+    rows at a time, one phase array per element, and sums each pair alone.
     """
 
     _ROWS = 16
@@ -395,9 +388,10 @@ class CouplingMatrix:
             rows = slice(start, min(start + self._ROWS, n_theta // 2))
             rx, ry, _, elem = _direction(ax, th[rows], ph)
             w = elem * elem * sin_th[rows]
-            e = np.exp(1j * TWO_PI * (rx * pos[:, 0, None, None] + ry * pos[:, 1, None, None]))
+            e = [np.exp(1j * (TWO_PI * (rx * p[0] + ry * p[1]))) for p in pos]
             for m in range(len(pos)):
-                k[m, m:] += (np.conj(e[m]) * w * e[m:]).sum(axis=(1, 2))
+                for n in range(m, len(pos)):
+                    k[m, n] += (np.conj(e[m]) * w * e[n]).sum()
         k = k + np.conj(np.triu(k, 1)).T
         return k * (2.0 * (math.pi / n_theta) * (TWO_PI / n_phi))
 
@@ -414,14 +408,13 @@ class CollinearPower:
 
     Such a pattern reaches a node only through ry = sin(theta) sin(phi). When
     n_phi = 2 n_theta the octant's theta and phi midpoint nodes are the same
-    floats, so ry, and with it |F|, is the same at octant nodes (i, k) and
-    (k, i). power() evaluates the array factor with array_pattern's arithmetic
-    on the q(q+1)/2 nodes with i <= k of the q x q octant, mirrors them into
-    the octant and sums it with octant_power's expression. The triangle's ry,
-    its element factor and the mirror index do not depend on the array; they
-    are built on the first power() call for a mesh and kept by this instance.
-    Any other mesh raises ValueError. As for octant_power, the result is the
-    full sphere's sum only if |F| is even in ry, as with real excitations.
+    floats, so |F| is the same at octant nodes (i, k) and (k, i). power()
+    evaluates the array factor with array_pattern's arithmetic on the
+    q(q+1)/2 nodes with i <= k of the q x q octant, mirrors them into the
+    octant and sums it with octant_power's expression. The triangle's ry,
+    element factor and mirror index are built on the first power() call for
+    a mesh and kept. Any other mesh raises ValueError. As for octant_power,
+    the result is the full sphere's sum only if |F| is even in ry.
     """
 
     def __init__(self):
@@ -472,11 +465,9 @@ def radiated_power(
     the caller owns, for repeated calls on the same geometry; the key must
     determine the pattern. A memo is emptied wholesale when it reaches 2^18
     entries. mesh_sum, when given, is a callable (n_theta, n_phi) -> power
-    that evaluates the same sum on the same nodes in a cheaper exact form
-    (axisymmetric_power, octant_power, UniformLinePower.power,
-    CollinearPower.power, CouplingMatrix.power) and is called only on a memo
-    miss; pattern is then unused and may be None. Without mesh_sum every
-    node of pattern is summed.
+    that evaluates the same sum on the same nodes in a cheaper exact form,
+    called only on a memo miss; pattern is then unused and may be None.
+    Without mesh_sum every node of pattern is summed.
     """
     full_key = (power_key, n_theta, n_phi)
     if memo is not None and power_key is not None:

@@ -132,30 +132,55 @@ def _himmelblau_rows(X):
 
 
 # ---------------------------------------------------------------------------
-# antenna surrogate objectives: each id is two functions. power(x) gives the
-# row's power key, the coordinates that fix its geometry (the memo belongs to
-# one objective, so the key needs no id), and the exact cheaper form of
-# radiated_power's sum on the same nodes; the form builds its pattern only
-# when called, which radiated_power does only on a miss in that memo.
-# steering(rows) gives |F(theta0, phi0)| for the whole batch.
+# antenna surrogate objectives: powers(rows) gives each row's radiated power
+# and steering(rows) the batch's |F(theta0, phi0)|. pbm1 folds a batch's
+# distinct lengths at once. Each other id's power(x) gives the row's key (its
+# geometry coordinates) and the exact cheaper form of radiated_power's sum,
+# which builds its pattern only when called: on a miss in the objective's memo.
 
 
-def _pbm1_power(x):
-    # the dipole's |F| does not depend on phi
-    length = float(x[0])
-    return (length,), lambda n_theta, n_phi: antenna.axisymmetric_power(
-        lambda th, _ph: antenna.dipole_pattern(length, th), n_theta, n_phi)
+def _antenna_objective(obj_id, powers, steering, bounds) -> Objective:
+    """Directivity per row, with the bits of antenna.directivity."""
+
+    def evaluate_batch(rows, step=0):
+        rows = np.asarray(rows, dtype=float)
+        total = powers(rows)
+        amp = np.abs(steering(rows))
+        return 4.0 * math.pi * amp * amp / total
+
+    space = DecisionSpace.from_bounds(bounds)
+    return Objective(id=obj_id, n_dims=space.n_dims, bounds=space, evaluate_batch=evaluate_batch)
 
 
-def _pbm1_steering(rows):
-    return antenna.dipole_pattern(rows[:, 0], rows[:, 1])
+def _pbm1_powers(rows):
+    # |F| does not depend on phi; the first bad row raises as in row_loop
+    lengths, inverse = np.unique(rows[:, 0], return_inverse=True)
+    good = np.flatnonzero(lengths > 0.0)  # NaN is not
+    power = np.zeros(len(lengths))
+    for k in range(0, len(good), 256):  # temporaries of 512 KiB at most
+        keys = good[k:k + 256]
+        power[keys] = antenna.axisymmetric_power(
+            lambda th, _: antenna.dipole_pattern(lengths[keys, None, None], th),
+            antenna.DEFAULT_N_THETA, antenna.DEFAULT_N_PHI)
+    power = power[inverse]
+    if np.any(power == 0.0):
+        i = int(np.argmax(power == 0.0))
+        exc = (antenna.DegeneratePatternError("degenerate pattern: no radiated power")
+               if rows[i, 0] > 0.0 else ValueError("dipole length must be > 0"))
+        exc.failed_row = i + 1
+        raise exc
+    return power
+
+
+def _make_pbm1(obj_id) -> Objective:
+    return _antenna_objective(obj_id, _pbm1_powers,
+                              lambda rows: antenna.dipole_pattern(rows[:, 0], rows[:, 1]),
+                              [(0.5, 3.0), (0.0, math.pi / 2)])
 
 
 def _antenna_factory(power, steering, bounds):
-    """Directivity per row, with the bits of antenna.directivity: each row's
-    power goes through radiated_power with its power key and the objective's
-    memo (a hit on a repeat), then steering(rows) gives the batch's
-    amplitudes. Each objective the factory builds owns its memo."""
+    """_antenna_objective with each row's power through radiated_power, with
+    its power key and a memo the objective owns (a hit on a repeat)."""
 
     def factory(obj_id):
         memo = {}
@@ -167,17 +192,7 @@ def _antenna_factory(power, steering, bounds):
                 raise antenna.DegeneratePatternError("degenerate pattern: no radiated power")
             return total
 
-        powers = row_loop(row_power)
-
-        def evaluate_batch(rows, step=0):
-            rows = np.asarray(rows, dtype=float)
-            total = powers(rows)
-            amp = np.abs(steering(rows))
-            return 4.0 * math.pi * amp * amp / total
-
-        space = DecisionSpace.from_bounds(bounds)
-        return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                         evaluate_batch=evaluate_batch)
+        return _antenna_objective(obj_id, row_loop(row_power), steering, bounds)
 
     return factory
 
@@ -199,8 +214,7 @@ def _make_pbm2(obj_id) -> Objective:
 
 def _make_pbm3(obj_id) -> Objective:
     # the ring's positions do not depend on beta: one spec and one coupling
-    # matrix (built on the first miss) serve every row, which makes only its
-    # excitations
+    # matrix (built on the first miss) serve every row
     ring = antenna.circular_array_spec(0.0)
     coupling = antenna.CouplingMatrix(ring)
 
@@ -228,8 +242,7 @@ def _make_pbm5(obj_id, n_elements=10) -> Objective:
     broadside = antenna.array_pattern(antenna.collinear_array_spec(np.ones(n_elements - 1)))
     amp = broadside(np.float64(math.pi / 2), np.float64(0.0))
     # in-phase y-dipoles on the y axis: |F| depends on sin(theta) sin(phi) only,
-    # and is even in it because the excitations are real; the triangle tables
-    # are built on the first miss
+    # and is even in it; the triangle tables are built on the first miss
     stack = antenna.CollinearPower()
 
     def power(x):
@@ -318,7 +331,7 @@ REGISTRY: dict = {
     "himmelblau": _analytic_factory(_himmelblau_rows, [(-6.0, 6.0)] * 2),
     "neg_sum_squares": _analytic_factory(lambda X: -np.sum(X ** 2, axis=1), [(-5.0, 5.0)] * 3,
                                          dims_option=True),
-    "pbm1": _antenna_factory(_pbm1_power, _pbm1_steering, [(0.5, 3.0), (0.0, math.pi / 2)]),
+    "pbm1": _make_pbm1,
     "pbm2": _make_pbm2,
     "pbm3": _make_pbm3,
     "pbm4": _make_pbm4,

@@ -25,7 +25,7 @@ from .objectives import batch_form
 from .space import DecisionSpace
 
 MAX_GRID_POINTS = 100_000_000
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14  # a chunk's per-point temporaries (128 KiB) stay in cache
 
 
 @dataclass(frozen=True)

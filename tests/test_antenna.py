@@ -229,12 +229,17 @@ def _dipole(length):
 @pytest.mark.parametrize("n_theta,n_phi,n_lengths", [(256, 512, 200), (512, 1024, 40)])
 def test_phi_fold_is_the_full_mesh_sum_bit_for_bit(n_theta, n_phi, n_lengths):
     # ==, not approx: the fold replays numpy's pairwise summation order, so a
-    # numpy build that reduces in another order fails here
+    # numpy build that reduces in another order fails here. One call folds
+    # every length along a leading batch axis, with each scalar call's bits
     rng = np.random.default_rng(20261019)
-    for length in rng.uniform(0.5, 3.0, n_lengths):
+    lengths = rng.uniform(0.5, 3.0, n_lengths)
+    batch = antenna.axisymmetric_power(lambda th, ph: dipole_pattern(lengths[:, None, None], th),
+                                       n_theta, n_phi)
+    assert batch.shape == (n_lengths,)
+    for length, power in zip(lengths, batch):
         dipole = _dipole(length)
-        assert (antenna.axisymmetric_power(dipole, n_theta, n_phi)
-                == radiated_power(dipole, n_theta, n_phi)), length
+        full = radiated_power(dipole, n_theta, n_phi)
+        assert power == full and antenna.axisymmetric_power(dipole, n_theta, n_phi) == full, length
     flat = lambda th, ph: np.ones(np.broadcast(th, ph).shape)
     assert antenna.axisymmetric_power(flat, n_theta, n_phi) == radiated_power(flat, n_theta, n_phi)
 
@@ -296,8 +301,9 @@ def _bare(obj_id, x, ring):
                                             ("pbm5", {"n_elements": 6}), ("pbm5", {}),
                                             ("pbm5", {"n_elements": 2}), ("pbm5", {"n_elements": 3})])
 def test_antenna_batches_are_the_directivity_bit_for_bit(obj_id, options):
-    # one batch over a grid (so power keys repeat within it) against an
-    # uncached antenna.directivity call per row on the bare pattern
+    # one batch over a shuffled grid (so power keys repeat within it, out of
+    # order) against an uncached antenna.directivity call per row on the
+    # bare pattern
     obj = get_objective(obj_id, **options)
     lo, hi = obj.bounds.lower, obj.bounds.upper
     if obj_id == "pbm5":
@@ -307,6 +313,7 @@ def test_antenna_batches_are_the_directivity_bit_for_bit(obj_id, options):
         grid = np.meshgrid(np.linspace(lo[0], hi[0], 21), np.linspace(lo[1], hi[1], 11),
                            indexing="ij")
         rows = np.column_stack([g.ravel() for g in grid])
+        rows = rows[np.random.default_rng(12).permutation(len(rows))]
     ring = antenna.CouplingMatrix(circular_array_spec(0.0))
     want = []
     for x in rows:

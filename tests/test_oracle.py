@@ -117,16 +117,22 @@ def test_plateau_across_chunks_ties_to_its_first_grid_point(monkeypatch, chunk):
     assert res.value == 1.0
 
 
-def test_noisy_oracle_does_not_depend_on_the_chunk(monkeypatch):
-    # the noise stream runs in grid order across chunk boundaries
-    def noisy():
-        res = grid_oracle(get_objective("sgo", noise={"seed": 3}), resolution=(41, 37))
-        return res.argmax.tolist(), res.value.hex()
+@pytest.mark.parametrize("obj_id,options,resolution", [
+    ("sgo", {"noise": {"seed": 3}}, (41, 37)),
+    ("pbm1", {}, (200, 91)),
+], ids=["noisy", "pbm1"])
+def test_oracle_does_not_depend_on_the_chunk(monkeypatch, obj_id, options, resolution):
+    # a noise stream runs in grid order across chunk boundaries; pbm1 folds a
+    # batch's distinct lengths at once: at 91 points a chunk is one length,
+    # at 7 a length spans chunks, and the default splits after 180 lengths
+    def search():
+        res = grid_oracle(get_objective(obj_id, **options), resolution=resolution)
+        return res.argmax.tolist(), res.value.hex(), res.n_evaluations
 
-    want = noisy()
-    for chunk in (7, 64):
+    want = search()
+    for chunk in (7, 64, 91, math.prod(resolution)):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        assert noisy() == want
+        assert search() == want, chunk
 
 
 def test_large_grid_memory_is_bounded_by_the_chunk():

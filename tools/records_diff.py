@@ -15,9 +15,9 @@ coincide throughout, a --seed override sweep, a noisy
 oracle finer than the benchmark's, a 3x300x300 oracle (its 90,000-point
 trailing block exceeds a grid chunk, so the grid splits after axis 1), a
 noisy 301x301 oracle (its noise stream crosses a chunk boundary), an
-`external` oracle at 3x150x150 (67,500 points, sent as batches of 45,000
-and 22,500 requests, each far beyond what the pipes buffer), a 3-run
-`pbm3` gamma sweep (its group shares one ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
+`external` oracle at 3x150x150 (67,500 points, sent as four batches of
+16,350 requests and one of 2,100, each far beyond what the pipes
+buffer), a 3-run `pbm3` gamma sweep (its group shares one ring and coupling matrix), a 6-run `pbm2` gamma sweep on 2
 threads (each group builds its own objective and power memo), a 4-run noisy
 `sgo` seed sweep on 2 threads (each run owns its noise stream), a 4-run
 noisy `gp` gamma sweep (each run restarts the same seeded stream), a 3-run
