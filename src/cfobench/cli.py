@@ -54,7 +54,7 @@ from .engine import (
     run,
     run_group,
 )
-from .objectives import Objective, ObjectiveError, get_objective, list_objectives
+from .objectives import Objective, ObjectiveError, get_objective, is_stateless, list_objectives
 from .oracle import grid_oracle
 from .space import DecisionSpace
 
@@ -531,9 +531,7 @@ def sweep_runs(spec: RunSpec, jobs: int = 1, quiet: bool = False):
     pad = max(2, len(str(len(values))))
     keep_history = _writes_history(spec.emit, spec.space.n_dims)
 
-    # a stateless objective: one serves a whole group
-    shared = (getattr(spec.objective, "noise", None) is None
-              and getattr(spec.objective, "close", None) is None)
+    shared = is_stateless(spec.objective)  # one objective serves a whole group
 
     def one_group(runs: range) -> List[RunRecord]:
         built = []

@@ -27,14 +27,14 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .objectives import batch_form
+from .objectives import batch_form, is_stateless
 from .space import DecisionSpace
 
 # Distances below this fraction of the space diagonal count as coincident
 # probes and the pair is skipped in the force sum.
 COINCIDENT_REL_TOL = 1e-14
 
-_SCHEMES = ("custom", "grid_2d", "off_diagonal", "on_axis")
+_SCHEMES = ("custom", "on_axis")
 
 
 class ConfigError(ValueError):
@@ -48,12 +48,6 @@ class EngineError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """An internal engine invariant was violated (a bug, not a user error)."""
-
-
-def _check_scheme(name: str) -> None:
-    if name not in _SCHEMES:
-        raise ConfigError(f"init_scheme: unknown scheme {name!r}; "
-                          f"expected one of {', '.join(_SCHEMES)}")
 
 
 @dataclass
@@ -120,9 +114,6 @@ class CfoConfig:
             raise ConfigError("n_avg_steps: must be >= 1")
         if not self.fitness_sat_tol >= 0:
             raise ConfigError("fitness_sat_tol: must be >= 0")
-        _check_scheme(self.init_scheme)
-        if self.init_scheme == "custom" and self.initial_probes is None:
-            raise ConfigError("initial_probes: required for the custom scheme")
         self._validate_scheme(self.init_scheme, space)
 
     def _validate_scheme(self, scheme: str, space: DecisionSpace) -> None:
@@ -133,13 +124,9 @@ class CfoConfig:
                     "n_probes: on-axis init needs n_probes divisible by n_dims "
                     "with at least 2 probes per axis"
                 )
-        elif scheme == "grid_2d":
-            side = math.isqrt(n_p)
-            if n_d != 2 or side * side != n_p:
-                raise ConfigError(
-                    "n_probes: 2-D grid init needs n_dims = 2 and a perfect-square n_probes"
-                )
         elif scheme == "custom":
+            if self.initial_probes is None:
+                raise ConfigError("initial_probes: required for the custom scheme")
             pts = np.asarray(self.initial_probes, dtype=float)
             if pts.shape != (n_p, n_d):
                 raise ConfigError(
@@ -147,6 +134,9 @@ class CfoConfig:
                 )
             if not space.contains(pts):
                 raise ConfigError("initial_probes: a custom point lies outside the bounds")
+        else:
+            raise ConfigError(f"init_scheme: unknown scheme {scheme!r}; "
+                              f"expected one of {', '.join(_SCHEMES)}")
 
     def to_dict(self) -> dict:
         """Every field that has a value, cast to its declared type."""
@@ -470,31 +460,22 @@ def _next_frep(frep: np.ndarray, saved: np.ndarray, n_sat: int, rule: np.ndarray
 
 
 def init_probes(scheme: str, space: DecisionSpace, cfg: CfoConfig) -> np.ndarray:
-    _check_scheme(scheme)
+    """The run's starting probes: a copy of initial_probes under custom, or
+    under on_axis one evenly spaced line of n_probes / n_dims probes along
+    each axis, the lines crossing at the diagonal point at fraction gamma."""
     cfg._validate_scheme(scheme, space)
+    if scheme == "custom":
+        return np.array(cfg.initial_probes, dtype=float, copy=True)
     n_p, n_d = int(cfg.n_probes), space.n_dims
     lo, hi = space.lower, space.upper
-
-    if scheme == "on_axis":
-        per_axis = n_p // n_d
-        anchor = lo + cfg.gamma * (hi - lo)
-        pts = np.tile(anchor, (n_p, 1))
-        ramp = np.linspace(0.0, 1.0, per_axis)
-        for axis in range(n_d):
-            rows = slice(axis * per_axis, (axis + 1) * per_axis)
-            pts[rows, axis] = lo[axis] + ramp * (hi[axis] - lo[axis])
-        return pts
-
-    if scheme == "grid_2d":
-        side = math.isqrt(n_p)
-        return uniform_lattice_points(space, (side, side))
-
-    if scheme == "off_diagonal":
-        # coordinate i of probe p (both 0-based) at fraction (n_d*p + i)/(n_p*n_d - 1)
-        frac = np.arange(n_p * n_d).reshape(n_p, n_d) / (n_p * n_d - 1)
-        return lo + frac * (hi - lo)
-
-    return np.array(cfg.initial_probes, dtype=float, copy=True)
+    per_axis = n_p // n_d
+    anchor = lo + cfg.gamma * (hi - lo)
+    pts = np.tile(anchor, (n_p, 1))
+    ramp = np.linspace(0.0, 1.0, per_axis)
+    for axis in range(n_d):
+        rows = slice(axis * per_axis, (axis + 1) * per_axis)
+        pts[rows, axis] = lo[axis] + ramp * (hi[axis] - lo[axis])
+    return pts
 
 
 def uniform_diagonal_points(space: DecisionSpace, n: int) -> np.ndarray:
@@ -510,7 +491,8 @@ def uniform_lattice_points(space: DecisionSpace, shape: tuple[int, int]) -> np.n
 
     Rows are ordered with the first coordinate varying slowest, so
     shape=(6, 4) gives 6 distinct first-coordinate values with 4 second
-    coordinate values each. Covers grid layouts that are not square.
+    coordinate values each. Passed as initial_probes, it gives a custom
+    run a grid start, square or not.
     """
     if space.n_dims != 2:
         raise ValueError("lattice points are defined for 2-D spaces")
@@ -669,8 +651,7 @@ def run_group(cfgs: Sequence[CfoConfig], space: DecisionSpace, objectives: Seque
         raise ValueError("run_group: need one objective per config")
     holders = Counter(map(id, objectives))
     for obj in objectives:
-        if holders[id(obj)] > 1 and (getattr(obj, "noise", None) is not None
-                                     or getattr(obj, "close", None) is not None):
+        if holders[id(obj)] > 1 and not is_stateless(obj):
             raise ValueError("run_group: runs may share only a stateless objective, "
                              "one with no noise state and no close")
     n_r, n_p, n_d, n_saved = len(cfgs), int(lead.n_probes), space.n_dims, lead.n_saved

@@ -30,7 +30,6 @@ class Objective:
     step is the engine step. evaluate(x) is the batch of one row."""
 
     id: str
-    n_dims: int
     bounds: DecisionSpace
     evaluate_batch: Callable
     evaluate: Optional[Callable] = None
@@ -41,6 +40,16 @@ class Objective:
         if self.evaluate is None:
             batch = self.evaluate_batch
             self.evaluate = lambda x: float(batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+
+    @property
+    def n_dims(self) -> int:
+        return self.bounds.n_dims
+
+
+def is_stateless(obj) -> bool:
+    """True when obj has no noise stream and no close, so runs may share it:
+    its values do not depend on the order of the calls it serves."""
+    return getattr(obj, "noise", None) is None and getattr(obj, "close", None) is None
 
 
 def row_loop(evaluate_row: Callable) -> Callable:
@@ -149,7 +158,7 @@ def _antenna_objective(obj_id, powers, steering, bounds) -> Objective:
         return 4.0 * math.pi * amp * amp / total
 
     space = DecisionSpace.from_bounds(bounds)
-    return Objective(id=obj_id, n_dims=space.n_dims, bounds=space, evaluate_batch=evaluate_batch)
+    return Objective(id=obj_id, bounds=space, evaluate_batch=evaluate_batch)
 
 
 def _pbm1_powers(rows):
@@ -287,7 +296,7 @@ def _make_external(obj_id, command=None, timeout=60.0, bounds=None) -> Objective
         raise ObjectiveError("external: bounds are required")
     space = DecisionSpace.from_bounds(bounds)
     client = ExternalObjective(command, timeout=timeout)
-    return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
+    return Objective(id=obj_id, bounds=space,
                      evaluate_batch=lambda rows, step=0: np.array(client.evaluate(rows.tolist(), step)),
                      close=client.close)
 
@@ -308,8 +317,7 @@ def _analytic_factory(rows_fn, bounds, offsets=None, dims_option=False):
         def evaluate_batch(rows, step=0):
             return np.asarray(fn(np.asarray(rows, dtype=float)), dtype=float)
 
-        return Objective(id=obj_id, n_dims=space.n_dims, bounds=space,
-                         evaluate_batch=evaluate_batch)
+        return Objective(id=obj_id, bounds=space, evaluate_batch=evaluate_batch)
 
     return factory
 

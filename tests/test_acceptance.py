@@ -1,10 +1,13 @@
 """Acceptance gate: every numbered criterion must hold.
 
 Each criterion prints its PASS/FAIL line; the test then asserts the flag.
-Criteria 4 and 6 compare the optimizer against reference targets whose
-published levels assume full-wave element coupling; with the analytic
-surrogates in this repository they are known not to reach those targets
-(see README). They are kept failing here on purpose rather than loosened.
+Criteria 4 and 6 are known to fail one clause each (see README). c4's
+compares the run with the pbm1 surrogate's own grid oracle: pbm1 is a
+single dipole, so coupling is not the cause; the run ends at (2.265,
+1.091), the third of the surrogate's four local maxima. c6's compares the
+uncoupled pbm3 surrogate's level with a reference measured with
+full-wave element coupling. They are kept failing here on purpose rather
+than loosened.
 """
 
 from __future__ import annotations

@@ -139,22 +139,6 @@ def test_init_on_axis_unit_square():
     assert np.allclose(pts, want)
 
 
-def test_init_grid_corners():
-    space = DecisionSpace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    cfg = CfoConfig(n_probes=4, n_steps=1, init_scheme="grid_2d")
-    pts = init_probes("grid_2d", space, cfg)
-    want = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    assert np.allclose(pts, want)
-
-
-def test_init_off_diagonal():
-    space = DecisionSpace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    cfg = CfoConfig(n_probes=2, n_steps=1, init_scheme="off_diagonal")
-    pts = init_probes("off_diagonal", space, cfg)
-    want = np.array([[0.0, 1.0 / 3.0], [2.0 / 3.0, 1.0]])
-    assert np.allclose(pts, want)
-
-
 def test_init_custom_rejects_outside_point():
     space = DecisionSpace(np.array([0.0]), np.array([1.0]))
     cfg = CfoConfig(n_probes=2, n_steps=1, init_scheme="custom",

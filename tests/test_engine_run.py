@@ -18,6 +18,7 @@ from cfobench.engine import (
     init_probes,
     retrieve_errant_probes,
     run_group,
+    uniform_lattice_points,
     update_frep,
 )
 from cfobench.objectives import Objective, batch_form
@@ -255,11 +256,21 @@ def replay(cfg, space, objective):
     return series, np.asarray(fits), np.asarray(points), final
 
 
+def _staircase(space: DecisionSpace, n_p: int) -> np.ndarray:
+    """n_p probes, coordinate i of probe p (both 0-based) at fraction
+    (n_d * p + i) / (n_p * n_d - 1) of its axis: no two probes share a
+    coordinate value."""
+    n_d = space.n_dims
+    frac = np.arange(n_p * n_d).reshape(n_p, n_d) / (n_p * n_d - 1)
+    return space.lower + frac * (space.upper - space.lower)
+
+
 def _replay_configs():
     """44 seeded (objective, config) pairs: 1 to 30 dimensions, 2 to 120
-    probes, every init scheme, g, delta_t, alpha, beta, n_sat and frep_init
-    away from their defaults, and early termination; and a run that
-    saturates at its last step."""
+    probes, on-axis starts and custom ones (random, a 3 x 3 lattice and a
+    staircase), g, delta_t, alpha, beta, n_sat and frep_init away from their
+    defaults, and early termination; and a run that saturates at its last
+    step."""
     rng = np.random.default_rng(20261019)
     fixed = [("gp", {}), ("himmelblau", {}), ("colville", {}), ("parrott_f4", {})]
     cases = []
@@ -272,15 +283,18 @@ def _replay_configs():
         obj = get_objective(obj_id, **options)
         n_d = obj.bounds.n_dims
         n_p = 120 if i % 11 == 1 else int(rng.integers(2, 17))
-        fields = {"n_probes": n_p, "n_steps": 12 if n_p * n_d > 500 else 60,
-                  "init_scheme": "off_diagonal"}
+        fields = {"n_probes": n_p, "n_steps": 12 if n_p * n_d > 500 else 60}
         if n_p % n_d == 0 and n_p // n_d >= 2 and i % 2:
             fields.update(init_scheme="on_axis", gamma=float(rng.uniform(0, 1)))
-        elif i % 4 == 2:
-            lo, hi = obj.bounds.lower, obj.bounds.upper
-            fields.update(init_scheme="custom", initial_probes=rng.uniform(lo, hi, (n_p, n_d)))
-        elif n_d == 2 and n_p < 100:
-            fields.update(n_probes=9, init_scheme="grid_2d")
+        else:
+            if i % 4 == 2:
+                points = rng.uniform(obj.bounds.lower, obj.bounds.upper, (n_p, n_d))
+            elif n_d == 2 and n_p < 100:
+                fields.update(n_probes=9)
+                points = uniform_lattice_points(obj.bounds, (3, 3))
+            else:
+                points = _staircase(obj.bounds, n_p)
+            fields.update(init_scheme="custom", initial_probes=points)
         if i % 4:
             n_saved = int(rng.integers(1, 7))
             fields.update(g=float(rng.uniform(0.5, 6)), delta_t=float(rng.uniform(0.5, 1.5)),
@@ -293,7 +307,8 @@ def _replay_configs():
     # the detector first fires at step 60, the run's last
     cases.append((get_objective("gp"), CfoConfig(n_probes=8, n_steps=60, gamma=0.1,
                                                  early_termination=True)))
-    cases.append((SIGNED_ZEROS, CfoConfig(n_probes=8, n_steps=40, init_scheme="off_diagonal")))
+    cases.append((SIGNED_ZEROS, CfoConfig(n_probes=8, n_steps=40, init_scheme="custom",
+                                          initial_probes=_staircase(UNIT_BOX, 8))))
     return cases
 
 
@@ -304,7 +319,7 @@ def _signed_zero_rows(rows):
     return np.where(level == 0.0, np.copysign(0.0, np.sin(11.0 * rows.sum(axis=1))), level)
 
 
-SIGNED_ZEROS = Objective(id="signed_zeros", n_dims=2, bounds=UNIT_BOX,
+SIGNED_ZEROS = Objective(id="signed_zeros", bounds=UNIT_BOX,
                          evaluate_batch=lambda rows, step=0: _signed_zero_rows(rows))
 
 
@@ -462,7 +477,7 @@ def test_a_shared_objective_must_be_stateless():
     gp = get_objective("gp")
     cfgs = [CfoConfig(n_probes=8, n_steps=5, gamma=g) for g in (0.2, 0.8)]
     noisy = get_objective("gp", noise={"seed": 3})
-    closing = Objective(id="gp", n_dims=2, bounds=gp.bounds, evaluate_batch=gp.evaluate_batch,
+    closing = Objective(id="gp", bounds=gp.bounds, evaluate_batch=gp.evaluate_batch,
                         close=lambda: None)
     for shared in (noisy, closing):
         with pytest.raises(ValueError, match="share only a stateless objective"):
@@ -553,7 +568,7 @@ def _breaking(objective: Objective, name: str, fail_at: dict, how: str) -> Objec
             values[1] = math.nan
         return values
 
-    return Objective(id=objective.id, n_dims=objective.n_dims, bounds=objective.bounds,
+    return Objective(id=objective.id, bounds=objective.bounds,
                      evaluate_batch=evaluate_batch)
 
 
@@ -603,7 +618,7 @@ def _shared_breaking(objective: Objective, cfgs: list, fail_at: dict, how: str) 
                     values[b * len(mark) + 1] = math.nan
         return values
 
-    return Objective(id=objective.id, n_dims=objective.n_dims, bounds=objective.bounds,
+    return Objective(id=objective.id, bounds=objective.bounds,
                      evaluate_batch=evaluate_batch)
 
 

@@ -6,7 +6,8 @@
 
 `run` executes, with the package in CHECKOUT/src (default: this checkout),
 every benchmark operation of perfbench/workloads.py at seeds 0 and 1 at
-full size, plus the extra runs and oracles below: every init scheme, noise,
+full size, plus the extra runs and oracles below: on-axis and custom
+starts (random points, square lattices and staircases), noise,
 an external child, early termination, a run with g, delta_t, alpha, beta
 and n_sat all away from their defaults, a run whose first two probes
 coincide throughout, a --seed override sweep, a noisy
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -51,12 +53,16 @@ from pathlib import Path
 
 EXTERNAL = {"id": "external", "options": {"command": [sys.executable, "-m", "cfobench.external", "quadratic"],
                                           "bounds": [[-3.0, 3.0]] * 3}}
-EXTRA = {  # name: (objective, cfo block)
+EXTRA = {  # name: (objective, cfo block); an initial_probes of "lattice" or "staircase" names a layout
     "gp_on_axis": ("gp", {"n_probes": 8, "n_steps": 300, "gamma": 0.3}),
-    "himmelblau_grid": ("himmelblau", {"n_probes": 9, "n_steps": 200, "init_scheme": "grid_2d"}),
-    "sgo_grid16": ("sgo", {"n_probes": 16, "n_steps": 150, "init_scheme": "grid_2d"}),
-    "colville_offdiag": ("colville", {"n_probes": 12, "n_steps": 200, "init_scheme": "off_diagonal"}),
-    "parrott_offdiag": ("parrott_f4", {"n_probes": 5, "n_steps": 100, "init_scheme": "off_diagonal"}),
+    "himmelblau_grid": ("himmelblau", {"n_probes": 9, "n_steps": 200, "init_scheme": "custom",
+                                       "initial_probes": "lattice"}),
+    "sgo_grid16": ("sgo", {"n_probes": 16, "n_steps": 150, "init_scheme": "custom",
+                           "initial_probes": "lattice"}),
+    "colville_offdiag": ("colville", {"n_probes": 12, "n_steps": 200, "init_scheme": "custom",
+                                      "initial_probes": "staircase"}),
+    "parrott_offdiag": ("parrott_f4", {"n_probes": 5, "n_steps": 100, "init_scheme": "custom",
+                                       "initial_probes": "staircase"}),
     "griewank_custom": ("griewank", {"n_probes": 3, "n_steps": 120, "init_scheme": "custom",
                                      "initial_probes": [[-500.0, 10.0], [3.0, 4.0], [200.0, -100.0]]}),
     "step_early": ("step", {"n_probes": 8, "n_steps": 400, "n_avg_steps": 10, "early_termination": True}),
@@ -64,8 +70,9 @@ EXTRA = {  # name: (objective, cfo block)
     "gp_shifted": ("gp_shifted", {"n_probes": 8, "n_steps": 200}),
     "sgo_noisy": ({"id": "sgo", "options": {"noise": {"seed": 3, "sigma": 0.4}}}, {"n_probes": 8, "n_steps": 200}),
     "pbm2_noisy": ({"id": "pbm2", "options": {"noise": {"seed": 5}}}, {"n_probes": 8, "n_steps": 20}),
-    "external_offdiag": (EXTERNAL, {"n_probes": 12, "n_steps": 60, "init_scheme": "off_diagonal"}),
-    "pbm2_grid": ("pbm2", {"n_probes": 16, "n_steps": 3, "init_scheme": "grid_2d"}),
+    "external_offdiag": (EXTERNAL, {"n_probes": 12, "n_steps": 60, "init_scheme": "custom",
+                                    "initial_probes": "staircase"}),
+    "pbm2_grid": ("pbm2", {"n_probes": 16, "n_steps": 3, "init_scheme": "custom", "initial_probes": "lattice"}),
     "pbm1_noisy": ({"id": "pbm1", "options": {"noise": {"seed": 11}}}, {"n_probes": 8, "n_steps": 30}),
     "pbm5_10": ("pbm5", {"n_probes": 18, "n_steps": 2}),
     "pbm5_3": ({"id": "pbm5", "options": {"n_elements": 3}}, {"n_probes": 8, "n_steps": 20}),
@@ -75,7 +82,8 @@ EXTRA = {  # name: (objective, cfo block)
                                              "initial_probes": [[1.0, 1.0], [1.0, 1.0], [-3.0, 2.0],
                                                                 [4.0, -4.0]]}),
     # 90 probes in 30-D: row blocks of 24 rows, the last of 18
-    "schwefel_226_90": ("schwefel_226", {"n_probes": 90, "n_steps": 60, "init_scheme": "off_diagonal"}),
+    "schwefel_226_90": ("schwefel_226", {"n_probes": 90, "n_steps": 60, "init_scheme": "custom",
+                                         "initial_probes": "staircase"}),
 }
 for _g in (0.0, 0.5, 1.0):
     for _f in ("gp", "himmelblau", "sgo", "step", "colville", "schwefel_226"):
@@ -151,6 +159,32 @@ def _write_config(out: Path, name: str, objective, **blocks) -> str:
     return str(path)
 
 
+def _layout(objective, cfo: dict) -> dict:
+    """cfo with a layout name in initial_probes replaced by its points over
+    the objective's bounds: "lattice" is the square uniform_lattice_points
+    grid of n_probes points; "staircase" puts coordinate i of probe p (both
+    0-based) at fraction (n_d * p + i) / (n_probes * n_d - 1) of its axis."""
+    import numpy as np
+    from cfobench import engine, objectives
+    from cfobench.space import DecisionSpace
+
+    layout = cfo.get("initial_probes")
+    if not isinstance(layout, str):
+        return cfo
+    spec = objective if isinstance(objective, dict) else {"id": objective}
+    options = spec.get("options", {})
+    space = (DecisionSpace.from_bounds(options["bounds"]) if spec["id"] == "external"  # no child for bounds
+             else objectives.get_objective(spec["id"], **options).bounds)
+    n_p, n_d = cfo["n_probes"], space.n_dims
+    if layout == "lattice":
+        side = math.isqrt(n_p)
+        points = engine.uniform_lattice_points(space, (side, side))
+    else:
+        frac = np.arange(n_p * n_d).reshape(n_p, n_d) / (n_p * n_d - 1)
+        points = space.lower + frac * (space.upper - space.lower)
+    return dict(cfo, initial_probes=points.tolist())
+
+
 def run(out: Path):
     import workloads
     from cfobench import cli, oracle
@@ -174,7 +208,7 @@ def run(out: Path):
                     (Path(op["out_dir"]) / "refine.json").write_text(
                         json.dumps([r.argmax.tolist(), r.value, r.n_evaluations]))
     for name, (objective, cfo) in EXTRA.items():
-        path = _write_config(out, name, objective, cfo=cfo,
+        path = _write_config(out, name, objective, cfo=_layout(objective, cfo),
                              outputs={"dir": str(out / "extra" / name), "trajectories": True})
         cli.run_benchmark(cli.load_config(path), quiet=True)
     for name, (objective, blocks) in CONFIGS.items():
